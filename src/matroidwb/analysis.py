@@ -1,9 +1,15 @@
 """Tiered decision procedures for the negative-dependence hierarchy.
 
 Each check returns a Verdict: Holds with a certificate, Fails with an
-exactly re-verified witness, or Inconclusive with diagnostics.  Floats are
-used only to hunt for counterexample candidates; every candidate is rounded
-to rationals and re-evaluated exactly before it is believed.
+exactly re-verified witness, or Inconclusive with diagnostics.  A polynomial
+nonnegativity question runs through four tiers, cheapest first: nonnegative
+coefficients, the closed-form uniform Gram certificate, the float
+counterexample search, and (with an SDP backend) a rounded SDP Gram
+certificate.  The uniform Gram precedes the search because it is cheaper and
+an exact certificate rules out every witness; the SDP follows it so that a
+Fails never waits on a solver.  Floats are used only to hunt for candidates;
+every candidate is rounded to rationals and re-evaluated exactly before it
+is believed.
 """
 from __future__ import annotations
 
@@ -36,7 +42,8 @@ from .poly import (
     rayleigh_diff,
 )
 from .ratlp import solve_eq_nonneg
-from .sos import GramCertificate, sos_certificate, sos_certificate_orthant
+from .errors import WitnessNotVerified
+from .sos import sdp_backend, sdp_certificate, sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -81,9 +88,68 @@ def _batch_eval(coeffs, exps, X):
     """Evaluate at rows of X (signs handled exactly, magnitudes in logs)."""
     logmag = np.log(np.maximum(np.abs(X), 1e-300))
     mono = np.exp(logmag @ exps.T)
-    neg = (X < 0).astype(np.int64)
-    parity = (neg @ (exps % 2).T) % 2
-    return (mono * (1 - 2 * parity)) @ coeffs
+    neg = X < 0
+    if neg.any():  # never on the positive orthant
+        parity = (neg.astype(np.int64) @ (exps % 2).T) % 2
+        mono *= 1 - 2 * parity
+    return mono @ coeffs
+
+
+# L-BFGS-B's default stops (relative f-decrease, max |gradient|); Armijo constant
+FTOL = 1e7 * np.finfo(float).eps
+GTOL = 1e-5
+ARMIJO = 1e-4
+
+
+def _bfgs(fg, z, maxfun: int):
+    """Dense BFGS with Armijo backtracking from z, where fg(z) returns the
+    value and the gradient; returns the last accepted point, its value and
+    the number of evaluations (at most maxfun)."""
+    f, g = fg(z)
+    nfev, first = 1, True
+    H = np.eye(len(z))
+    while nfev < maxfun and np.max(np.abs(g)) > GTOL:
+        d = -H @ g
+        if g @ d >= 0:  # H lost positive definiteness: restart downhill
+            H, d = np.eye(len(z)), -g
+        t = min(1.0, 1.0 / np.linalg.norm(d)) if first else 1.0
+        while True:
+            f_new, g_new = fg(z + t * d)
+            nfev += 1
+            if np.isfinite(f_new) and f_new <= f + ARMIJO * t * (g @ d):
+                break
+            t /= 2
+            if nfev >= maxfun or t < 1e-12:
+                return z, f, nfev
+        s, y = t * d, g_new - g
+        done = f - f_new <= FTOL * max(abs(f), abs(f_new), 1.0)
+        z, f, g = z + s, f_new, g_new
+        if done:
+            break
+        sy = s @ y
+        if sy > 1e-12:
+            if first:
+                H *= sy / (y @ y)
+            Hy = H @ y
+            H += ((sy + y @ Hy) * np.outer(s, s) - sy * (np.outer(Hy, s) + np.outer(s, Hy))) / sy**2
+        first = False
+    return z, f, nfev
+
+
+def _local_refine(coeffs, exps, x0: np.ndarray, positive: bool, maxfun: int):
+    """Minimise the polynomial with term arrays (coeffs, exps) from x0, over
+    log-coordinates on the orthant; returns the end point, its value and the
+    evaluations spent."""
+    # the columns after the first give sum_t c_t e_tk x^e_t = x_k * df/dx_k
+    both = np.column_stack([coeffs, coeffs[:, None] * exps])
+
+    def fg(z):
+        x = np.exp(z) if positive else z
+        f, *g = _batch_eval(both, exps, x[None, :])[0]
+        return f, np.array(g) if positive else np.array(g) / x
+
+    z, f, nfev = _bfgs(fg, np.log(x0) if positive else x0, maxfun)
+    return (np.exp(z) if positive else z), float(f), nfev
 
 
 def _exactify(
@@ -91,16 +157,12 @@ def _exactify(
 ) -> Optional[Witness]:
     """Round a float candidate to rationals and re-verify exactly."""
     for den in (1, 2, 3, 4, 6, 8, 12, 16, 10**2, 10**4, 10**6, 10**9):
-        point = [Fraction(1)] * p.n
-        ok = True
-        for v, xv in zip(var_ids, x):
-            q = Fraction(float(xv)).limit_denominator(den)
-            if positive and q <= 0:
-                ok = False
-                break
-            point[v - 1] = q
-        if not ok:
+        qs = [Fraction(float(xv)).limit_denominator(den) for xv in x]
+        if positive and min(qs) <= 0:
             continue
+        point = [Fraction(1)] * p.n
+        for v, q in zip(var_ids, qs):
+            point[v - 1] = q
         value = p.evaluate(point)
         if value < 0:
             return Witness(value=Fraction(value), point=tuple(point))
@@ -119,12 +181,10 @@ def counterexample_search(
         raise ValueError(f"unknown domain {domain!r}")
     var_ids = tuple(sorted(p.active_vars()))
     if p.is_zero() or not var_ids:
-        value = p.evaluate([Fraction(1)] * p.n)
-        if value < 0:
-            return SearchResult(
-                Witness(value=Fraction(value), point=tuple([Fraction(1)] * p.n)), 1, float(value)
-            )
-        return SearchResult(None, 1, float(value))
+        point = tuple([Fraction(1)] * p.n)
+        value = p.evaluate(point)
+        witness = Witness(value=Fraction(value), point=point) if value < 0 else None
+        return SearchResult(witness, 1, float(value))
     coeffs, exps = _term_arrays(p, var_ids)
     rng = np.random.default_rng(seed)
     k = len(var_ids)
@@ -159,34 +219,11 @@ def counterexample_search(
 
     # local refinement from the best start
     if best_x is not None and evals < budget:
-        from scipy import optimize
-
-        grads = [p.derivative(v) for v in var_ids]
-        gcoeffs = []
-        for g in grads:
-            gc, ge = _term_arrays(g, var_ids)
-            gcoeffs.append((gc, ge))
-
-        def fun(z):
-            x = np.exp(z) if positive else z
-            return _batch_eval(coeffs, exps, x[None, :])[0]
-
-        def grad(z):
-            x = np.exp(z) if positive else z
-            g = np.array(
-                [_batch_eval(gc, ge, x[None, :])[0] for gc, ge in gcoeffs]
-            )
-            return g * x if positive else g
-
-        z0 = np.log(best_x) if positive else best_x
         maxfun = max((budget - evals) // 2, 50)
-        res = optimize.minimize(
-            fun, z0, jac=grad, method="L-BFGS-B", options={"maxfun": maxfun}
-        )
-        evals += int(res.nfev)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = np.exp(res.x) if positive else res.x
+        x, val, nfev = _local_refine(coeffs, exps, best_x, positive, maxfun)
+        evals += nfev
+        if val < best_val:
+            best_val, best_x = val, x
         if best_val < -SEARCH_TOL:
             w = _exactify(p, var_ids, best_x, positive)
             if w is not None:
@@ -292,38 +329,45 @@ def wagner_pair(M: Matroid) -> Optional[tuple[int, int]]:
 
 
 def _verdict_for_diff(
-    diff: BoundedPoly,
-    domain: str,
-    budget: int,
-    seed: int,
-    *,
-    use_sos: bool = True,
-    diag: dict,
+    diff: BoundedPoly, domain: str, budget: int, seed: int, *, diag: dict
 ) -> Verdict:
-    tiers = []
-    # tier 1: certificate by inspection
+    """Nonnegativity of diff on the domain by the tiers of the module
+    docstring: "coeff", "gram", "search", then "sdp" when an SDP backend is
+    installed.  ``tiers_run`` lists the tiers that ran, in order."""
+    tiers = ["coeff"]
     if all(c >= 0 for c in diff.terms.values()):
         if domain == POSITIVE_ORTHANT or all(lin == 0 for (lin, _) in diff.terms):
-            return verdicts.holds(COEFF_NONNEG, tiers_run=["coeff"], **diag)
-    tiers.append("coeff")
-    # tier 2: hunt for an exact counterexample
-    sr = counterexample_search(diff, domain, budget=budget, seed=seed)
-    tiers.append("search")
-    if sr.witness is not None:
-        return verdicts.fails(
-            sr.witness, tiers_run=list(tiers), evals=sr.evals, best=sr.best, **diag
-        )
-    # tier 3: SOS certificate
-    if use_sos and len(diff.active_vars()) <= 10:
-        cert = (
-            sos_certificate(diff)
-            if domain == ALL_REALS
-            else sos_certificate_orthant(diff)
-        )
-        tiers.append("sos")
+            return verdicts.holds(COEFF_NONNEG, tiers_run=tiers, **diag)
+    square = domain == POSITIVE_ORTHANT
+    gram = len(diff.active_vars()) <= 10
+    if gram:
+        tiers.append("gram")
+        cert = sos_certificate_orthant(diff) if square else sos_certificate(diff)
         if cert is not None and cert.verify(diff):
-            return verdicts.holds(SOS_GRAM, cert, tiers_run=list(tiers), **diag)
-    return verdicts.inconclusive(tiers_run=list(tiers), best=sr.best, evals=sr.evals, **diag)
+            return verdicts.holds(SOS_GRAM, cert, tiers_run=tiers, **diag)
+    tiers.append("search")
+    sr = counterexample_search(diff, domain, budget=budget, seed=seed)
+    if sr.witness is not None:
+        return verdicts.fails(sr.witness, tiers_run=tiers, evals=sr.evals, best=sr.best, **diag)
+    if gram and sdp_backend():
+        tiers.append("sdp")
+        cert = sdp_certificate(diff, square)
+        if cert is not None and cert.verify(diff):
+            return verdicts.holds(SOS_GRAM, cert, tiers_run=tiers, **diag)
+    return verdicts.inconclusive(tiers_run=tiers, best=sr.best, evals=sr.evals, **diag)
+
+
+def _all_pairs(f: BoundedPoly, check, **diag) -> Verdict:
+    """check(pair) for every pair: the first verdict that does not hold, or a
+    Holds naming each pair's certificate kind."""
+    per_pair = []
+    for pair in combinations(range(1, f.n + 1), 2):
+        v = check(pair)
+        if not v.holds:
+            return v
+        per_pair.append((pair, v.certificate.kind))
+    kind = COEFF_NONNEG if all(k == COEFF_NONNEG for _, k in per_pair) else SOS_GRAM
+    return verdicts.holds(kind, per_pair, pair=None, **diag)
 
 
 def rayleigh_verdict(
@@ -343,14 +387,8 @@ def rayleigh_verdict(
             diff, POSITIVE_ORTHANT, budget, seed,
             diag={"property": "rayleigh", "pair": (i, j)},
         )
-    per_pair = []
-    for i, j in combinations(range(1, f.n + 1), 2):
-        v = rayleigh_verdict(f, (i, j), budget=budget, seed=seed)
-        if not v.holds:
-            return v
-        per_pair.append(((i, j), v.certificate.kind))
-    kind = COEFF_NONNEG if all(k == COEFF_NONNEG for _, k in per_pair) else SOS_GRAM
-    return verdicts.holds(kind, per_pair, property="rayleigh", pair=None)
+    return _all_pairs(
+        f, lambda pair: rayleigh_verdict(f, pair, budget=budget, seed=seed), property="rayleigh")
 
 
 def strong_rayleigh_verdict(
@@ -389,15 +427,9 @@ def c_rayleigh_verdict(
             diff, POSITIVE_ORTHANT, budget, seed,
             diag={"property": "c_rayleigh", "c": str(Fraction(c)), "pair": (i, j)},
         )
-    per_pair = []
-    for i, j in combinations(range(1, f.n + 1), 2):
-        v = c_rayleigh_verdict(f, c, (i, j), budget=budget, seed=seed)
-        if not v.holds:
-            return v
-        per_pair.append(((i, j), v.certificate.kind))
-    kind = COEFF_NONNEG if all(k == COEFF_NONNEG for _, k in per_pair) else SOS_GRAM
-    return verdicts.holds(
-        kind, per_pair, property="c_rayleigh", c=str(Fraction(c)), pair=None
+    return _all_pairs(
+        f, lambda pair: c_rayleigh_verdict(f, c, pair, budget=budget, seed=seed),
+        property="c_rayleigh", c=str(Fraction(c)),
     )
 
 
@@ -466,11 +498,7 @@ def hpp_verdict(
         if pair is None:
             continue
         f = basis_poly(sub)
-        pairs = (
-            list(combinations(range(1, sub.n + 1), 2))
-            if cross_check_all_pairs
-            else [pair]
-        )
+        pairs = combinations(range(1, sub.n + 1), 2) if cross_check_all_pairs else [pair]
         for (i, j) in pairs:
             bij = (1 << (i - 1)) | (1 << (j - 1))
             if not any(B & bij == bij for B in sub.basis_masks):
@@ -483,7 +511,8 @@ def hpp_verdict(
                 for idx, e in enumerate(comp_sorted):
                     lifted[e - 1] = v.witness.point[idx]
                 value = rayleigh_diff(basis_poly(M), *orig_pair).evaluate(lifted)
-                assert value < 0, "lifted witness failed exact re-verification"
+                if not value < 0:
+                    raise WitnessNotVerified(f"lifted witness for {orig_pair} has value {value}")
                 return verdicts.fails(
                     Witness(value=Fraction(value), point=tuple(lifted)),
                     property="hpp", pair=orig_pair, component=sorted(comp),

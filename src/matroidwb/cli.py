@@ -244,7 +244,6 @@ def _as_strings(M) -> list[str]:
 def cmd_verify_paper(args) -> int:
     import random
 
-    from .analysis import rayleigh_diff as _rd  # noqa: F401
     from .core import direct_sum, is_isomorphic
     from .poly import BoundedPoly
 

@@ -63,3 +63,7 @@ class LoopPresent(MatroidError):
 
 class NotBipartite(MatroidError):
     pass
+
+
+class WitnessNotVerified(MatroidError):
+    """A witness failed exact re-verification after it was lifted."""

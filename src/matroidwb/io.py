@@ -66,12 +66,6 @@ def parse_matroid(text: str) -> Matroid:
 # -- graph: `graph <v> <e>` then `u w` per edge ------------------------------
 
 
-def format_graph(G: MultiGraph) -> str:
-    out = [f"graph {G.v} {G.e}"]
-    out.extend(f"{a} {b}" for a, b in G.edges)
-    return "\n".join(out) + "\n"
-
-
 def parse_graph(text: str) -> MultiGraph:
     lines = list(_data_lines(text))
     if not lines:
@@ -95,10 +89,6 @@ def parse_graph(text: str) -> MultiGraph:
 # -- lattice path pair: `lpm <P> <Q>` ----------------------------------------
 
 
-def format_lpm(L: LatticePathPair) -> str:
-    return f"lpm {L.p} {L.q}\n"
-
-
 def parse_lpm(text: str) -> LatticePathPair:
     lines = list(_data_lines(text))
     if not lines:
@@ -111,12 +101,6 @@ def parse_lpm(text: str) -> LatticePathPair:
 
 
 # -- set system: `sys <n> <k>` then one set per line -------------------------
-
-
-def format_setsystem(S: SetSystem) -> str:
-    out = [f"sys {S.n} {len(S.family)}"]
-    out.extend(" ".join(str(e) for e in sorted(A)) for A in S.family)
-    return "\n".join(out) + "\n"
 
 
 def parse_setsystem(text: str) -> SetSystem:

@@ -210,22 +210,6 @@ def basis_poly(M: Matroid) -> BoundedPoly:
     return BoundedPoly(M.n, {(B, 0): 1 for B in M.basis_masks})
 
 
-def derivative(f: BoundedPoly, i: int) -> BoundedPoly:
-    return f.derivative(i)
-
-
-def multiply(f: BoundedPoly, g: BoundedPoly) -> BoundedPoly:
-    return f * g
-
-
-def evaluate(f: BoundedPoly, point: Sequence[Rational]) -> Rational:
-    return f.evaluate(point)
-
-
-def evaluate_float(f: BoundedPoly, point: Sequence[float]) -> float:
-    return f.evaluate_float(point)
-
-
 def pair_decomposition(
     f: BoundedPoly, i: int, j: int
 ) -> tuple[BoundedPoly, BoundedPoly, BoundedPoly, BoundedPoly]:

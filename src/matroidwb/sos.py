@@ -1,14 +1,17 @@
 """Sum-of-squares certificates via exact Gram matrices.
 
 A certificate is a PSD rational Gram matrix over an explicit monomial basis
-reproducing the target polynomial exactly.  Numerical SDP output is only a
-hint: candidate matrices are rationalized, projected back onto the affine
+reproducing the target polynomial exactly.  Candidates come from two
+stages: the closed-form uniform Gram matrix, which costs no solver, and a
+numerical SDP solution (needs the optional cvxpy backend), which is only a
+hint.  Candidate matrices are rationalized, projected back onto the affine
 coefficient constraints (the projection is exact and entrywise), and then
 PSD-tested in rational arithmetic.  Anything that fails the exact test is
 discarded.
 """
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -72,7 +75,13 @@ class GramCertificate:
         return self.expanded() == target and self.is_psd()
 
     def is_psd(self) -> bool:
-        return all(_is_psd_exact([list(row) for row in b.matrix]) for b in self.blocks)
+        """Symmetric and PSD; the LDL^T test alone reads a non-symmetric
+        matrix as its lower triangle, whose quadratic form differs."""
+        return all(
+            all(b.matrix[i][j] == b.matrix[j][i] for i in range(len(b.matrix)) for j in range(i))
+            and _is_psd_exact([list(row) for row in b.matrix])
+            for b in self.blocks
+        )
 
 
 def _is_psd_exact(A: list[list[Fraction]]) -> bool:
@@ -156,15 +165,15 @@ def _signature_groups(blocks: list[list[ExpVec]]):
     return groups
 
 
-def _uniform_gram(blocks, groups, target):
-    mats = [
-        [[Fraction(0)] * len(basis) for _ in basis] for basis in blocks
-    ]
+def _uniform_candidates(blocks, groups, target):
+    """The one closed-form candidate: every signature's coefficient spread
+    evenly over its entries."""
+    mats = [[[Fraction(0)] * len(basis) for _ in basis] for basis in blocks]
     for sig, entries in groups.items():
         val = target.get(sig, Fraction(0)) / len(entries)
         for (bi, i, j) in entries:
             mats[bi][i][j] = val
-    return mats
+    return [mats]
 
 
 def _project_onto_constraints(mats, groups, target):
@@ -205,86 +214,77 @@ def _solve_sdp(blocks, groups, target) -> Optional[list[np.ndarray]]:
 _DENOMINATORS = (1, 2, 4, 8, 16, 64, 256, 4096, 10**6, 10**9, 10**12)
 
 
-def _certify(blocks: list[list[ExpVec]], target: dict[ExpVec, Fraction],
-             var_ids: tuple[int, ...], substitution: str) -> Optional[GramCertificate]:
+def _sdp_candidates(blocks, groups, target):
+    """The SDP solution symmetrized and rounded at increasing denominators;
+    nothing when no backend is installed."""
+    num = _solve_sdp(blocks, groups, target)
+    for den in _DENOMINATORS if num is not None else ():
+        yield [
+            [[Fraction(float(m[i][j] + m[j][i]) / 2).limit_denominator(den) for j in range(len(m))]
+             for i in range(len(m))]
+            for m in num
+        ]
+
+
+def _certify(p: BoundedPoly, square: bool, candidates) -> Optional[GramCertificate]:
+    """The first candidate Gram matrix that, projected onto the coefficient
+    constraints of p (of p(y^2) when square), is exactly PSD."""
+    var_ids = tuple(sorted(p.active_vars()))
+    k = len(var_ids)
+    if k > 10:
+        raise ValueError("SOS search capped at 10 active variables")
+    target = _poly_to_exponents(p, var_ids, double=square)
+    if square:
+        blocks = _even_basis(target, k)
+    else:
+        # a variable occurring only linearly cannot appear in any square
+        # factor, so a target mentioning it linearly-only is never an SOS
+        for i in range(k):
+            if any(e[i] for e in target) and not any(e[i] == 2 for e in target):
+                return None
+        blocks = [_multiaffine_basis(target, k)]
     blocks = [b for b in blocks if b]
     groups = _signature_groups(blocks)
     if any(sig not in groups for sig in target):
         return None
-    if not target:
-        return GramCertificate(var_ids, (), substitution)
-
-    def build(mats) -> Optional[GramCertificate]:
+    for mats in candidates(blocks, groups, target):
         mats = _project_onto_constraints(mats, groups, target)
         if not all(_is_psd_exact([row[:] for row in m]) for m in mats):
-            return None
+            continue
         cert = GramCertificate(
             var_ids,
             tuple(
                 GramBlock(tuple(basis), tuple(tuple(row) for row in m))
                 for basis, m in zip(blocks, mats)
             ),
-            substitution,
+            "square" if square else "none",
         )
-        return cert if cert.expanded() == target else None
-
-    # cheap exact attempt: spread every signature evenly
-    cert = build(_uniform_gram(blocks, groups, target))
-    if cert is not None:
-        return cert
-
-    num = _solve_sdp(blocks, groups, target)
-    if num is None:
-        return None
-    for den in _DENOMINATORS:
-        mats = [
-            [
-                [Fraction(float(m[i][j])).limit_denominator(den) for j in range(m.shape[1])]
-                for i in range(m.shape[0])
-            ]
-            for m in num
-        ]
-        # symmetrize before projection
-        for m in mats:
-            k = len(m)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    avg = (m[i][j] + m[j][i]) / 2
-                    m[i][j] = m[j][i] = avg
-        cert = build(mats)
-        if cert is not None:
+        if cert.expanded() == target:
             return cert
     return None
 
 
 def sos_certificate(p: BoundedPoly) -> Optional[GramCertificate]:
-    """Exact SOS certificate for a per-variable-degree-<=2 polynomial, over
-    the multi-affine monomial basis; None when the search fails (which is not
-    a proof of non-SOS)."""
-    var_ids = tuple(sorted(p.active_vars()))
-    if len(var_ids) > 10:
-        raise ValueError("SOS search capped at 10 active variables")
-    target = _poly_to_exponents(p, var_ids, double=False)
-    if not target:
-        return GramCertificate(var_ids, (), "none")
-    # a variable occurring only linearly cannot appear in any square factor,
-    # so a target mentioning it linearly-only is never an SOS
-    k = len(var_ids)
-    for i in range(k):
-        if any(e[i] for e in target) and not any(e[i] == 2 for e in target):
-            return None
-    basis = _multiaffine_basis(target, k)
-    return _certify([basis], target, var_ids, "none")
+    """Exact SOS certificate for a per-variable-degree-<=2 polynomial over
+    the multi-affine monomial basis, from the closed-form uniform Gram
+    matrix; None when that matrix is not PSD, which is not a proof of
+    non-SOS (see :func:`sdp_certificate`)."""
+    return _certify(p, False, _uniform_candidates)
 
 
 def sos_certificate_orthant(p: BoundedPoly) -> Optional[GramCertificate]:
-    """SOS certificate for p(y_1^2, ..., y_k^2), which proves p >= 0 on the
-    closed positive orthant."""
-    var_ids = tuple(sorted(p.active_vars()))
-    if len(var_ids) > 10:
-        raise ValueError("SOS search capped at 10 active variables")
-    target = _poly_to_exponents(p, var_ids, double=True)
-    if not target:
-        return GramCertificate(var_ids, (), "square")
-    blocks = _even_basis(target, len(var_ids))
-    return _certify(blocks, target, var_ids, "square")
+    """Uniform-Gram SOS certificate for p(y_1^2, ..., y_k^2), which proves
+    p >= 0 on the closed positive orthant."""
+    return _certify(p, True, _uniform_candidates)
+
+
+def sdp_backend() -> bool:
+    """Whether the optional SDP backend (cvxpy) is importable."""
+    return importlib.util.find_spec("cvxpy") is not None
+
+
+def sdp_certificate(p: BoundedPoly, square: bool) -> Optional[GramCertificate]:
+    """Certificate for p (for p(y^2) when square) from a rounded numerical
+    SDP solution: the slower stage after the uniform Gram matrix.  None when
+    no rounding is exactly PSD or no SDP backend is installed."""
+    return _certify(p, square, _sdp_candidates)

@@ -1,0 +1,179 @@
+"""Tiered verdicts: the order of the tiers, one fixture per deciding tier,
+the pinned sparse-paving census, the float search and its refinement."""
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import matroidwb
+from matroidwb import analysis
+from matroidwb.census import _instance_seed
+from matroidwb.classifiers import sparse_paving_family
+from matroidwb.constructions import uniform
+from matroidwb.core import direct_sum
+from matroidwb.errors import WitnessNotVerified
+from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
+from matroidwb.verdicts import COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
+
+BUDGET = 20_000
+
+# x^2 - 4x + 3, minimum -1 at x = 2, and its term arrays
+QUADRATIC_POLY = BoundedPoly(1, {(0, 1): 1, (1, 0): -4, (0, 0): 3})
+QUADRATIC = analysis._term_arrays(QUADRATIC_POLY, (1,))
+
+
+@pytest.fixture(scope="module")
+def sp73():
+    """The 14 classes of sparse_paving_family(7, 3) with their census seeds."""
+    return [(M, _instance_seed(0, k)) for k, M in enumerate(sparse_paving_family(7, 3))]
+
+
+# classes of sp73 by their hpp outcome at BUDGET
+HPP_FAILS = 7
+HPP_INCONCLUSIVE = 2
+
+
+class TestTiers:
+    def test_coefficient_holds(self):
+        v = analysis.rayleigh_verdict(basis_poly(uniform(2, 4)), (1, 2))
+        assert v.holds and v.certificate.kind == COEFF_NONNEG
+        assert v.diagnostics["tiers_run"] == ["coeff"]
+
+    def test_gram_holds_before_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran although the uniform Gram certifies")
+
+        monkeypatch.setattr(analysis, "counterexample_search", no_search)
+        f = basis_poly(uniform(2, 4))
+        v = analysis.strong_rayleigh_verdict(f, (1, 2))
+        assert v.holds and v.certificate.kind == SOS_GRAM
+        assert v.certificate.data.verify(rayleigh_diff(f, 1, 2))
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram"]
+
+    def test_fails_witness_verifies_on_lifted_ground_set(self, sp73):
+        M, seed = sp73[HPP_FAILS]
+        N = direct_sum(M, uniform(1, 1))  # a coloop: the lift adds a coordinate
+        v = analysis.hpp_verdict(N, budget=BUDGET, seed=seed)
+        assert v.fails
+        assert len(v.witness.point) == N.n
+        value = rayleigh_diff(basis_poly(N), *v.diagnostics["pair"]).evaluate(v.witness.point)
+        assert value == v.witness.value < 0
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search"]
+
+    def test_inconclusive_names_the_tiers_that_ran(self, sp73, monkeypatch):
+        monkeypatch.setattr(analysis, "sdp_backend", lambda: False)
+        M, seed = sp73[HPP_INCONCLUSIVE]
+        v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
+        assert v.outcome == "Inconclusive"
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search"]
+
+    def test_sdp_runs_after_the_search_when_a_backend_is_present(self, sp73, monkeypatch):
+        ran = []
+        monkeypatch.setattr(analysis, "sdp_backend", lambda: True)
+        monkeypatch.setattr(
+            analysis, "sdp_certificate", lambda p, square: ran.append(square))
+        M, seed = sp73[HPP_INCONCLUSIVE]
+        v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
+        assert v.outcome == "Inconclusive" and ran == [False]
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search", "sdp"]
+
+    def test_unverified_lifted_witness_raises(self, sp73, monkeypatch):
+        M, seed = sp73[HPP_FAILS]
+        N = direct_sum(M, uniform(1, 1))
+
+        def lifted_value_zero(f, i, j):
+            # only the lift evaluates on the full ground set of N
+            return BoundedPoly.zero(f.n) if f.n == N.n else rayleigh_diff(f, i, j)
+
+        monkeypatch.setattr(analysis, "rayleigh_diff", lifted_value_zero)
+        with pytest.raises(WitnessNotVerified):
+            analysis.hpp_verdict(N, budget=BUDGET, seed=seed)
+
+
+def test_sparse_paving_census_table(sp73):
+    hpp = Counter(analysis.hpp_verdict(M, budget=BUDGET, seed=s).outcome for M, s in sp73)
+    rayleigh = Counter(
+        analysis.rayleigh_verdict(
+            basis_poly(M), analysis.wagner_pair(M), budget=BUDGET, seed=s).outcome
+        for M, s in sp73
+    )
+    assert hpp == {"Fails": 5, "Holds": 3, "Inconclusive": 6}
+    assert rayleigh == {"Holds": 9, "Inconclusive": 5}
+
+
+def test_hpp_holds_names_single_pair_certificate(sp73):
+    M, seed = sp73[0]
+    v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
+    assert v.holds and v.certificate.kind == SINGLE_PAIR_WAGNER
+
+
+class TestSearch:
+    def test_batch_eval_matches_exact_evaluation(self):
+        p = rayleigh_diff(basis_poly(uniform(3, 6)), 1, 2)
+        var_ids = tuple(sorted(p.active_vars()))
+        coeffs, exps = analysis._term_arrays(p, var_ids)
+        rng = np.random.default_rng(1)
+        positive = np.exp(rng.normal(size=(50, len(var_ids))))
+        signed = positive * rng.choice((-1.0, 1.0), size=positive.shape)
+        for X in (positive, signed):
+            got = analysis._batch_eval(coeffs, exps, X)
+            for x, g in zip(X, got):
+                point = [1.0] * p.n
+                for v, xv in zip(var_ids, x):
+                    point[v - 1] = xv
+                assert g == pytest.approx(p.evaluate_float(point), rel=1e-9, abs=1e-9)
+
+    def test_refinement_finds_interior_minimum(self):
+        x, value, nfev = analysis._local_refine(*QUADRATIC, np.array([0.5]), True, maxfun=200)
+        assert x[0] == pytest.approx(2.0, abs=1e-4)
+        assert value == pytest.approx(-1.0, abs=1e-8)
+        assert nfev <= 200
+
+    @pytest.mark.parametrize("maxfun", [1, 2, 3, 5])
+    def test_refinement_respects_maxfun(self, maxfun):
+        _, _, unbounded = analysis._local_refine(*QUADRATIC, np.array([0.01]), True, maxfun=1000)
+        _, _, nfev = analysis._local_refine(*QUADRATIC, np.array([0.01]), True, maxfun=maxfun)
+        assert nfev <= maxfun < unbounded
+
+    def test_refinement_on_all_reals(self):
+        # (x1 - 1)^2 + (x2 + 2)^2 - 1 = x1^2 - 2 x1 + x2^2 + 4 x2 + 4
+        p = BoundedPoly(2, {(0, 1): 1, (1, 0): -2, (0, 2): 1, (2, 0): 4, (0, 0): 4})
+        arrays = analysis._term_arrays(p, (1, 2))
+        x, value, _ = analysis._local_refine(*arrays, np.array([3.0, 1.0]), False, maxfun=200)
+        assert x == pytest.approx([1.0, -2.0], abs=1e-4)
+        assert value == pytest.approx(-1.0, abs=1e-8)
+
+    def test_search_witness_reverifies(self):
+        p = QUADRATIC_POLY
+        sr = analysis.counterexample_search(p, budget=4096, seed=0)
+        assert sr.witness is not None
+        assert p.evaluate(sr.witness.point) == sr.witness.value < 0
+
+
+def test_verdicts_do_not_import_scipy(sp73):
+    """A check that reaches the local refinement leaves scipy unimported."""
+    index = HPP_INCONCLUSIVE
+    code = f"""
+import sys
+import matroidwb
+from matroidwb import analysis
+from matroidwb.census import _instance_seed
+calls = []
+refine = analysis._local_refine
+analysis._local_refine = lambda *a, **k: calls.append(1) or refine(*a, **k)
+M = list(matroidwb.sparse_paving_family(7, 3))[{index}]
+v = matroidwb.hpp_verdict(M, budget={BUDGET}, seed=_instance_seed(0, {index}))
+assert v.outcome == "Inconclusive" and calls, (v, calls)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(matroidwb.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
