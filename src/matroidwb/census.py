@@ -48,10 +48,14 @@ CSV_COLUMNS = [
     "sparse_paving",
     "positroid",
     "neg_corr_all_pairs",
+    "balanced",
     "rayleigh_outcome",
     "hpp_outcome",
     "witness_ref",
 ]
+
+# the columns that hold a Holds / Fails / Inconclusive outcome
+OUTCOME_COLUMNS = ("neg_corr_all_pairs", "balanced", "rayleigh_outcome", "hpp_outcome")
 
 KNOWN_CHECKS = (
     "negcorr",
@@ -144,7 +148,7 @@ def _run_instance(payload) -> dict:
                 witnesses.append(("negcorr", v))
         elif base == "balanced":
             v = is_balanced(M)
-            row["neg_corr_all_pairs"] = v.outcome
+            row["balanced"] = v.outcome
             if v.fails:
                 witnesses.append(("balanced", v))
         elif base == "rayleigh":

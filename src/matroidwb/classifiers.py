@@ -1,8 +1,11 @@
 """Class-membership tests and deterministic family generators."""
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations
+import functools
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     Matroid,
@@ -11,6 +14,7 @@ from .core import (
     elements,
     mask_of,
     popcount,
+    subset_sizes,
 )
 from .constructions import (
     LatticePathPair,
@@ -18,6 +22,10 @@ from .constructions import (
     bicircular,
     lattice_path,
 )
+from .errors import SizeCapExceeded
+
+# largest ground set the positroid order search accepts
+MAX_POSITROID_N = 12
 
 # ---------------------------------------------------------------------------
 # paving
@@ -41,49 +49,159 @@ def is_base_sorting_order(M: Matroid, order: Sequence[int]) -> bool:
     multiset into odd and even positions always yields two bases."""
     if sorted(order) != list(range(1, M.n + 1)):
         raise ValueError("order must be a permutation of the ground set")
-    pos = [0] * (M.n + 1)
-    for k, e in enumerate(order):
-        pos[e] = k
-    blists = [sorted(elements(B), key=lambda e: pos[e]) for B in M.basis_masks]
-    bset = M._basis_set
-    nb = len(blists)
+    # each basis as the mask of its elements' positions in the order
+    bits = [(1 << k, 1 << (e - 1)) for k, e in enumerate(order)]
+    pmasks = [sum(pb for pb, eb in bits if B & eb) for B in M.basis_masks]
+    bset = set(pmasks)
+    nb = len(pmasks)
     for a in range(nb):
+        A = pmasks[a]
         for b in range(a + 1, nb):
-            merged = sorted(blists[a] + blists[b], key=lambda e: pos[e])
-            odd = 0
-            even = 0
-            for k in range(0, len(merged), 2):
-                odd |= 1 << (merged[k] - 1)
-            for k in range(1, len(merged), 2):
-                even |= 1 << (merged[k] - 1)
+            # In the sorted merge a common element fills two adjacent
+            # places, one odd and one even; the other elements take turns,
+            # lowest position first.
+            odd = even = A & pmasks[b]
+            rest = A ^ pmasks[b]
+            while rest:
+                low = rest & -rest
+                odd |= low
+                rest ^= low
+                low = rest & -rest
+                even |= low
+                rest ^= low
             if odd not in bset or even not in bset:
                 return False
     return True
 
 
+def _violations(M: Matroid) -> tuple[int, np.ndarray, np.ndarray]:
+    """The non-bases among the r-sets and the sets that rule each one out.
+
+    Returns ``(count, s, I)``: pair k says that non-basis number ``s[k]``, S,
+    has |S & I[k]| > rank(I[k]).  Only dependent sets can violate, and S
+    itself always does, so every non-basis has a pair; ``s`` is sorted.
+    """
+    sizes = subset_sizes(M.n)
+    dep = np.flatnonzero(M._indep_table() == 0)
+    nonbases = dep[sizes[dep] == M.r]
+    if not nonbases.size:
+        return 0, nonbases, nonbases
+    rank = M._rank_table()
+    # masks fit 16 bits; the pairwise intersections are the largest array
+    S, D = nonbases.astype(np.uint16), dep.astype(np.uint16)
+    s, i = np.nonzero(sizes[S[:, None] & D[None, :]] > rank[dep][None, :])
+    return nonbases.size, s, dep[i]
+
+
+# Where the prefix positions y of a set I may lie if I is to be a cyclic
+# interval of an order that starts with the prefix.
+ANYWHERE, NOTHING_UNPLACED, ALL_UNPLACED, NEVER = range(4)
+
+
+@functools.cache
+def _prefix_shapes(p: int) -> np.ndarray:
+    """shape[y] for every mask y of positions in a p-element prefix:
+    ANYWHERE if y is empty or a block touching an end of the prefix;
+    NOTHING_UNPLACED if y is an inner block (I must lie in the prefix);
+    ALL_UNPLACED if y is the two ends around one inner gap (I must hold
+    every unplaced element, to wrap round); NEVER otherwise.  Read-only."""
+    y = np.arange(1 << p, dtype=np.int64)
+    block = (y & (y + (y & -y))) == 0
+    gap = ((1 << p) - 1) ^ y
+    gap_block = (gap & (gap + (gap & -gap))) == 0
+    ends = (y & (1 | 1 << (p - 1))) != 0
+    shape = np.full(1 << p, NEVER, dtype=np.uint8)
+    shape[gap_block & ~block] = ALL_UNPLACED
+    shape[block] = NOTHING_UNPLACED
+    shape[(y == 0) | (block & ends)] = ANYWHERE
+    shape.flags.writeable = False
+    return shape
+
+
+def _can_be_interval(y: np.ndarray, I: np.ndarray, p: int, unplaced: int) -> np.ndarray:
+    """Whether each set I[k] is a cyclic interval of some order that starts
+    with a given p-element prefix.  y[k] marks the prefix positions that
+    hold elements of I[k]; ``unplaced`` is the mask of the other elements.
+    With nothing unplaced this is exactly "I is a cyclic interval of the
+    order"."""
+    shape = _prefix_shapes(p)[y]
+    outside = I & unplaced
+    return (
+        (shape == ANYWHERE)
+        | ((shape == NOTHING_UNPLACED) & (outside == 0))
+        | ((shape == ALL_UNPLACED) & (outside == unplaced))
+    )
+
+
+def _interval_order(M: Matroid) -> Optional[tuple[int, ...]]:
+    """The lexicographically first order, with element 1 first, in which
+    every non-basis r-set breaks a cyclic-interval rank bound; None if no
+    order does."""
+    n = M.n
+    identity = tuple(range(1, n + 1))
+    count, s, I = _violations(M)
+    if not count:
+        return identity
+    # The identity is the first order the search reaches; in it the
+    # positions of I are I itself.
+    if np.bincount(s[_can_be_interval(I, I, n, 0)], minlength=count).all():
+        return identity
+
+    def extend(prefix: list[int], unplaced: int, s, I, y):
+        # drop the pairs whose set can no longer become a cyclic interval
+        p = len(prefix)
+        keep = _can_be_interval(y, I, p, unplaced)
+        s, I, y = s[keep], I[keep], y[keep]
+        if not np.bincount(s, minlength=count).all():
+            return None
+        if not unplaced:
+            return tuple(prefix)
+        for e in range(2, n + 1):
+            bit = 1 << (e - 1)
+            if unplaced & bit:
+                found = extend(
+                    prefix + [e], unplaced ^ bit, s, I, y | ((I >> (e - 1)) & 1) << p
+                )
+                if found is not None:
+                    return found
+        return None
+
+    return extend([1], ((1 << n) - 1) ^ 1, s, I, I & 1)
+
+
 def positroid_verdict(M: Matroid) -> Optional[tuple[int, ...]]:
     """A base-sorting order for M, or None if none exists.
 
-    Searches orders with the first position pinned to element 1 (base-sorting
-    orders are closed under cyclic shifts); each found order's shifts are
-    re-checked, so the reduction cannot silently go wrong.
+    M is a positroid in a cyclic order iff every non-basis r-set S breaks a
+    cyclic-interval rank bound: |S & I| > rank(I) for some cyclic interval I
+    of the order.  This is Oh's theorem (JCTA 118, 2011), that a positroid is
+    the intersection of the shifted Schubert matroids of its Grassmann
+    necklace: S lies in the shifted Schubert matroid of necklace member i
+    iff |S & J| <= rank(J) for every initial interval J of the order
+    started at i.
+
+    A depth-first search over orders with element 1 first, smallest unused
+    element next, drops a prefix as soon as some S has no violating set that
+    can still become a cyclic interval.  Pinning element 1 is exact because
+    an order and its cyclic shifts have the same cyclic intervals.  The
+    search visits orders lexicographically and prunes only orders that
+    cannot work, so the result is the first such order.
+
+    Positroids are exactly the base-sorting matroids (Lam–Postnikov), so
+    the order found and each of its cyclic shifts are re-checked with
+    :func:`is_base_sorting_order`, and a disagreement raises.
     """
-    if M.n > 9:
-        raise ValueError("order search capped at n = 9")
-    if M.n == 1:
-        return (1,)
-    for rest in permutations(range(2, M.n + 1)):
-        order = (1,) + rest
-        if is_base_sorting_order(M, order):
-            for s in range(1, M.n):
-                shifted = order[s:] + order[:s]
-                if not is_base_sorting_order(M, shifted):
-                    raise RuntimeError(
-                        "cyclic shift of a base-sorting order is not base-sorting; "
-                        "the first-element reduction is unsound here"
-                    )
-            return order
-    return None
+    if M.n > MAX_POSITROID_N:
+        raise SizeCapExceeded(f"positroid search capped at n = {MAX_POSITROID_N}")
+    order = _interval_order(M)
+    if order is not None:
+        for k in range(M.n):
+            if not is_base_sorting_order(M, order[k:] + order[:k]):
+                raise RuntimeError(
+                    f"order {order[k:] + order[:k]} passes the interval test "
+                    "but is not base-sorting"
+                )
+    return order
 
 
 # ---------------------------------------------------------------------------

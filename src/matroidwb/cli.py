@@ -23,7 +23,7 @@ from .analysis import (
     strong_rayleigh_verdict,
     wagner_pair,
 )
-from .census import CensusJob, run_census
+from .census import OUTCOME_COLUMNS, CensusJob, run_census
 from .classifiers import is_paving, is_sparse_paving, positroid_verdict
 from .constructions import (
     MultiGraph,
@@ -155,11 +155,11 @@ def cmd_check(args) -> int:
         payload = {
             "property": "positroid",
             "matroid_id": args.matroid,
-            "outcome": HOLDS if order else FAILS,
-            "order": list(order) if order else None,
+            "outcome": HOLDS if order is not None else FAILS,
+            "order": list(order) if order is not None else None,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if order else 1
+        return 0 if order is not None else 1
     elif prop == "paving":
         ok = is_paving(M)
         print(json.dumps({"property": "paving", "outcome": HOLDS if ok else FAILS}))
@@ -218,7 +218,7 @@ def cmd_census(args) -> int:
         limit=args.limit,
     )
     rows = run_census(job)
-    fails = sum(1 for r in rows if "Fails" in (r["hpp_outcome"], r["rayleigh_outcome"], r["neg_corr_all_pairs"]))
+    fails = sum(1 for r in rows if "Fails" in (r.get(c) for c in OUTCOME_COLUMNS))
     print(f"census: {len(rows)} instances, {fails} with Fails outcomes -> {args.out}")
     return 0
 
@@ -293,6 +293,12 @@ def cmd_verify_paper(args) -> int:
     report("coloop-identities", ok_coloop)
 
     report("mk4-not-positroid", positroid_verdict(named_atlas("MK4")) is None)
+    # K4 with a loop at a vertex: n = 7, r = 4, 32 bases; the first of the
+    # two non-positroids among the 2,429 classes of bicircular_family(7)
+    k4_loop = MultiGraph(
+        v=4, edges=((1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    )
+    report("bicircular-not-positroid", positroid_verdict(bicircular(k4_loop)) is None)
 
     ok_lpm = True
     from .classifiers import lpm_family

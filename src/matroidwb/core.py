@@ -6,8 +6,9 @@ pure: a Matroid is immutable after construction.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -49,6 +50,17 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+@functools.cache
+def subset_sizes(n: int) -> np.ndarray:
+    """sizes[S] == |S| for every subset S of an n-element ground set
+    (read-only; one array per n is kept)."""
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        sizes.reshape(-1, 2, 1 << i)[:, 1, :] += 1
+    sizes.flags.writeable = False
+    return sizes
+
+
 class Matroid:
     """A matroid given by its set of bases.
 
@@ -56,7 +68,10 @@ class Matroid:
     :func:`from_bases`, which validates the basis exchange axiom.
     """
 
-    __slots__ = ("n", "r", "basis_masks", "_basis_set", "_indep", "_spanning", "_circuits")
+    __slots__ = (
+        "n", "r", "basis_masks", "_basis_set",
+        "_indep", "_spanning", "_rank", "_circuits",
+    )
 
     def __init__(self, n: int, basis_masks: Iterable[int], validate: bool = True):
         masks = tuple(sorted(set(basis_masks)))
@@ -77,6 +92,7 @@ class Matroid:
         self._basis_set = frozenset(masks)
         self._indep = None
         self._spanning = None
+        self._rank = None
         self._circuits = None
         if validate:
             self._check_exchange()
@@ -137,6 +153,17 @@ class Matroid:
                 half[:, 1, :] |= half[:, 0, :]
             self._spanning = arr
         return self._spanning
+
+    def _rank_table(self) -> np.ndarray:
+        """rank[S] == the size of a largest independent subset of S: the
+        subset-max of indep[T] * |T| over T contained in S."""
+        if self._rank is None:
+            arr = self._indep_table() * subset_sizes(self.n)
+            for i in range(self.n):
+                half = arr.reshape(-1, 2, 1 << i)
+                np.maximum(half[:, 1, :], half[:, 0, :], out=half[:, 1, :])
+            self._rank = arr
+        return self._rank
 
     def is_independent(self, S: int | Iterable[int]) -> bool:
         mask = S if isinstance(S, int) else mask_of(S)

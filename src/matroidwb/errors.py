@@ -67,3 +67,7 @@ class NotBipartite(MatroidError):
 
 class WitnessNotVerified(MatroidError):
     """A witness failed exact re-verification after it was lifted."""
+
+
+class SizeCapExceeded(MatroidError, ValueError):
+    """An input is larger than an algorithm's size cap."""
