@@ -42,7 +42,7 @@ from .poly import (
     rayleigh_diff,
 )
 from .ratlp import solve_eq_nonneg
-from .errors import WitnessNotVerified
+from .errors import SizeCapExceeded, WitnessNotVerified
 from .sos import sdp_backend, sdp_certificate, sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
@@ -304,7 +304,7 @@ def _matroid_fingerprint(M: Matroid):
 def is_balanced(M: Matroid) -> Verdict:
     """Negative correlation for M and all of its minors."""
     if M.n > 10:
-        raise ValueError("balance check capped at n = 10")
+        raise SizeCapExceeded("balance check capped at n = 10")
     for minor, I, D in _minor_reps(M):
         v = neg_corr_all_pairs(minor)
         if not v.holds:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import functools
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -133,6 +133,18 @@ def _can_be_interval(y: np.ndarray, I: np.ndarray, p: int, unplaced: int) -> np.
     )
 
 
+def _interchangeable(M: Matroid) -> list[int]:
+    """twins[e]: the mask of the elements e' < e whose transposition with e
+    maps the set of bases onto itself."""
+    B = np.array(M.basis_masks, dtype=np.int64)  # sorted
+    twins = [0] * (M.n + 1)
+    for d, e in combinations(range(1, M.n + 1), 2):
+        flip = ((B >> (d - 1)) ^ (B >> (e - 1))) & 1
+        if np.array_equal(np.sort(B ^ flip * ((1 << (d - 1)) | (1 << (e - 1)))), B):
+            twins[e] |= 1 << (d - 1)
+    return twins
+
+
 def _interval_order(M: Matroid) -> Optional[tuple[int, ...]]:
     """The lexicographically first order, with element 1 first, in which
     every non-basis r-set breaks a cyclic-interval rank bound; None if no
@@ -146,6 +158,7 @@ def _interval_order(M: Matroid) -> Optional[tuple[int, ...]]:
     # positions of I are I itself.
     if np.bincount(s[_can_be_interval(I, I, n, 0)], minlength=count).all():
         return identity
+    twins = _interchangeable(M)
 
     def extend(prefix: list[int], unplaced: int, s, I, y):
         # drop the pairs whose set can no longer become a cyclic interval
@@ -158,7 +171,10 @@ def _interval_order(M: Matroid) -> Optional[tuple[int, ...]]:
             return tuple(prefix)
         for e in range(2, n + 1):
             bit = 1 << (e - 1)
-            if unplaced & bit:
+            # with a smaller interchangeable element e' unplaced, e's subtree
+            # is the image of the subtree of the smallest such e', which has
+            # already failed
+            if unplaced & bit and not twins[e] & unplaced:
                 found = extend(
                     prefix + [e], unplaced ^ bit, s, I, y | ((I >> (e - 1)) & 1) << p
                 )
@@ -183,7 +199,10 @@ def positroid_verdict(M: Matroid) -> Optional[tuple[int, ...]]:
     A depth-first search over orders with element 1 first, smallest unused
     element next, drops a prefix as soon as some S has no violating set that
     can still become a cyclic interval.  Pinning element 1 is exact because
-    an order and its cyclic shifts have the same cyclic intervals.  The
+    an order and its cyclic shifts have the same cyclic intervals.  A child
+    e is skipped while a smaller unplaced e' is interchangeable with it (the
+    transposition of e and e' maps the bases onto themselves): that
+    automorphism carries the subtree of e' onto the subtree of e.  The
     search visits orders lexicographically and prunes only orders that
     cannot work, so the result is the first such order.
 
@@ -384,46 +403,66 @@ def lpm_family(
 def _canonical_graph_key(v: int, edges: tuple[tuple[int, int], ...]):
     """Degree-refinement relabelling key; collapses most isomorphic copies."""
     deg = [0] * (v + 1)
+    # the other end of each edge at u; a loop counts once
+    inc: list[list[int]] = [[] for _ in range(v + 1)]
     for a, b in edges:
         deg[a] += 1
         deg[b] += 1
-    profile = {u: (deg[u],) for u in range(1, v + 1)}
+        inc[a].append(b)
+        if a != b:
+            inc[b].append(a)
+    profile = [(d,) for d in deg]
     for _ in range(2):
-        nxt = {}
-        for u in range(1, v + 1):
-            neigh = sorted(
-                profile[b if a == u else a] for a, b in edges if u in (a, b)
-            )
-            nxt[u] = (profile[u], tuple(neigh))
-        profile = nxt
-    relabel = {
-        u: k + 1
-        for k, u in enumerate(sorted(range(1, v + 1), key=lambda u: (profile[u], u)))
-    }
-    canon = tuple(
-        sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in edges)
-    )
+        profile = [(profile[u], tuple(sorted(profile[w] for w in inc[u]))) for u in range(v + 1)]
+    relabel = [0] * (v + 1)
+    for k, u in enumerate(sorted(range(1, v + 1), key=lambda u: (profile[u], u))):
+        relabel[u] = k + 1
+    canon = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in edges))
     return (v, canon)
 
 
-def _connected_no_isolated(v: int, edges) -> bool:
-    parent = list(range(v + 1))
+def _connected_multigraphs(v: int, e: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The connected multigraphs on vertices 1..v with e edges and no
+    isolated vertex, as e-multisets of the slots (a, b), a <= b, in the
+    order of ``combinations_with_replacement`` over the sorted slots.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    A depth-first search over slot indices drops a prefix once its
+    uncovered vertices outnumber twice the edges still to place, or once
+    its lowest uncovered vertex lies below every slot still allowed.  A
+    leaf must cover every vertex and reach them all from vertex 1."""
+    slots = [(a, b) for a in range(1, v + 1) for b in range(a, v + 1)]
+    low = [1 << (a - 1) for a, _ in slots]
+    span = [1 << (a - 1) | 1 << (b - 1) for a, b in slots]
+    full = (1 << v) - 1
+    chosen: list[int] = []
 
-    seen = set()
-    for a, b in edges:
-        seen.update((a, b))
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if seen != set(range(1, v + 1)):
-        return False
-    return len({find(u) for u in range(1, v + 1)}) == 1
+    def connected() -> bool:
+        reach = grown = 1
+        while True:
+            for i in chosen:
+                if span[i] & grown:
+                    grown |= span[i]
+            if grown == reach:
+                return reach == full
+            reach = grown
+
+    def walk(start: int, left: int, covered: int):
+        lowest_uncovered = (covered + 1) & ~covered
+        for i in range(start, len(slots)):
+            # the slots are sorted, so no later slot touches a lower vertex
+            if low[i] > lowest_uncovered:
+                break
+            c = covered | span[i]
+            if v - popcount(c) > 2 * (left - 1):
+                continue
+            chosen.append(i)
+            if left > 1:
+                yield from walk(i, left - 1, c)
+            elif c == full and connected():
+                yield tuple(slots[k] for k in chosen)
+            chosen.pop()
+
+    yield from walk(0, e, 0)
 
 
 def bicircular_family(
@@ -437,16 +476,13 @@ def bicircular_family(
     seen = set()
     count = 0
     for v in range(1, max_edges + 2):
-        slots = [(a, b) for a in range(1, v + 1) for b in range(a, v + 1)]
         for e in range(max(1, v - 1), max_edges + 1):
-            for combo in combinations_with_replacement(slots, e):
-                if not _connected_no_isolated(v, combo):
-                    continue
+            for combo in _connected_multigraphs(v, e):
                 key = _canonical_graph_key(v, combo)
                 if key in seen:
                     continue
                 seen.add(key)
-                G = MultiGraph(v=v, edges=tuple(combo))
+                G = MultiGraph(v=v, edges=combo)
                 yield (G, bicircular(G))
                 count += 1
                 if count >= limit:

@@ -214,8 +214,8 @@ class CircuitSet:
 
 def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Build a validated matroid from explicit bases on ground set 1..n."""
-    if n < 1 or n > MAX_ELEMENTS:
-        raise ValueError(f"n must be in 1..{MAX_ELEMENTS}, got {n}")
+    if n < 0 or n > MAX_ELEMENTS:
+        raise ValueError(f"n must be in 0..{MAX_ELEMENTS}, got {n}")
     masks = []
     for b in bases:
         b = set(b)

@@ -57,6 +57,9 @@ def parse_matroid(text: str) -> Matroid:
         if len(basis) != r:
             raise ParseError(lineno, f"basis has {len(basis)} elements, expected {r}")
         bases.append(basis)
+    if r == 0 and not bases:
+        # the single empty basis is written as a blank line, which is skipped
+        bases.append([])
     M = from_bases(n, bases)
     if M.r != r:
         raise ParseError(lines[0][0], f"rank mismatch: header says {r}")

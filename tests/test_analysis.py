@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ import matroidwb
 from matroidwb import analysis
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import sparse_paving_family
-from matroidwb.constructions import uniform
-from matroidwb.core import direct_sum
-from matroidwb.errors import WitnessNotVerified
+from matroidwb.constructions import principal_extension, uniform
+from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
+from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
 from matroidwb.verdicts import COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
 
@@ -109,6 +110,68 @@ def test_hpp_holds_names_single_pair_certificate(sp73):
     M, seed = sp73[0]
     v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
     assert v.holds and v.certificate.kind == SINGLE_PAIR_WAGNER
+
+
+def binary_matroid(columns, r):
+    """The GF(2) column matroid; column k is a bitmask over r rows."""
+
+    def independent(S):
+        reduced = []
+        for x in S:
+            for b in reduced:
+                x = min(x, x ^ b)
+            if not x:
+                return False
+            reduced.append(x)
+        return True
+
+    n = len(columns)
+    return Matroid(n, [
+        mask_of(S) for S in combinations(range(1, n + 1), r)
+        if independent([columns[e - 1] for e in S])
+    ])
+
+
+# binary S8: the identity and the columns 1111, 1101, 1011, 0111
+S8 = binary_matroid([0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1101, 0b1011, 0b0111], 4)
+
+
+def recount(M, e, f):
+    """N_e * N_f - N * N_ef over the bases of M."""
+    be, bf = 1 << (e - 1), 1 << (f - 1)
+    N = len(M.basis_masks)
+    Ne = sum(1 for B in M.basis_masks if B & be)
+    Nf = sum(1 for B in M.basis_masks if B & bf)
+    Nef = sum(1 for B in M.basis_masks if B & be and B & bf)
+    return Ne * Nf - N * Nef
+
+
+class TestBalance:
+    def test_cap_raises_typed_error(self):
+        with pytest.raises(SizeCapExceeded) as info:
+            analysis.is_balanced(uniform(1, 11))
+        assert isinstance(info.value, ValueError)
+
+    def test_s8_fails_at_the_top(self):
+        assert (S8.n, S8.r, len(S8.basis_masks)) == (8, 4, 48)
+        v = analysis.is_balanced(S8)
+        assert v.outcome == "Fails"
+        assert (v.diagnostics["contracted"], v.diagnostics["deleted_after"]) == ([], [])
+        assert v.witness.value == recount(S8, *v.diagnostics["pair"]) < 0
+        assert analysis.neg_corr_all_pairs(S8).outcome == "Fails"
+
+    def test_fails_on_a_minor_of_a_negatively_correlated_matroid(self):
+        M = principal_extension(S8, [1, 2])
+        assert M.n == 9
+        assert analysis.neg_corr_all_pairs(M).holds
+        v = analysis.is_balanced(M)
+        d = v.diagnostics
+        assert (v.outcome, d["contracted"], d["deleted_after"], d["pair"]) == (
+            "Fails", [], [9], (1, 5)
+        )
+        assert v.witness.value == -16
+        minor = delete(contract(M, d["contracted"]), d["deleted_after"])
+        assert recount(minor, *d["pair"]) == -16
 
 
 class TestSearch:

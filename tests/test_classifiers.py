@@ -1,10 +1,11 @@
 """Positroid recognition: the interval search against brute force over
 base-sorting orders, pinned atlas results, invariances, the size cap, the
-CLI outcome and the census columns."""
+CLI outcome and the census columns; the bicircular family against the
+filter it replaced."""
 import csv
 import json
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, islice, permutations
 
 import pytest
 
@@ -26,7 +27,7 @@ from matroidwb.constructions import (
     named_atlas,
     uniform,
 )
-from matroidwb.core import Matroid, elements, mask_of
+from matroidwb.core import Matroid, direct_sum, elements, mask_of
 from matroidwb.errors import MatroidError, SizeCapExceeded
 from matroidwb.io import format_matroid
 
@@ -109,6 +110,38 @@ class TestOrderSearch:
         for M in [M for _, M in bicircular_family(5)] + [named_atlas("W3")]:
             order = positroid_verdict(M)
             assert is_base_sorting_order(M, order[::-1]), M
+
+
+class TestInterchangeable:
+    def test_twins(self):
+        assert classifiers._interchangeable(uniform(2, 4)) == [0, 0, 0b1, 0b11, 0b111]
+        # MK4 has no transposition automorphism; the three loops are twins
+        M = direct_sum(named_atlas("MK4"), uniform(0, 3))
+        assert classifiers._interchangeable(M) == [0] * 8 + [1 << 6, 0b11 << 6]
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            direct_sum(uniform(2, 4), uniform(0, 2)),
+            direct_sum(named_atlas("W3"), uniform(1, 2)),
+            direct_sum(uniform(1, 2), direct_sum(uniform(1, 2), uniform(1, 2))),
+            direct_sum(named_atlas("MK4"), uniform(0, 2)),
+        ],
+    )
+    def test_skipping_keeps_the_first_order(self, M, monkeypatch):
+        found = positroid_verdict(M)
+        monkeypatch.setattr(classifiers, "_interchangeable", lambda M: [0] * (M.n + 1))
+        assert found == positroid_verdict(M) == first_sorting_order(M)
+
+    def test_loops_are_not_interleaved(self, monkeypatch):
+        """Without the skip, MK4 plus five loops visits 115,474 prefixes."""
+        nodes = []
+        step = classifiers._can_be_interval
+        monkeypatch.setattr(
+            classifiers, "_can_be_interval", lambda *a: nodes.append(1) or step(*a)
+        )
+        assert positroid_verdict(direct_sum(named_atlas("MK4"), uniform(0, 5))) is None
+        assert len(nodes) < 2_000
 
 
 def test_prefix_pruning_is_exact():
@@ -232,3 +265,90 @@ def test_census_negcorr_and_balanced_columns(tmp_path):
     for row, (_, M) in zip(written, lpm_family(3)):
         assert row["neg_corr_all_pairs"] == neg_corr_all_pairs(M).outcome
         assert row["balanced"] == is_balanced(M).outcome
+
+
+# ---------------------------------------------------------------------------
+# the bicircular family against the filter the depth-first search replaced
+
+
+def filtered_multigraphs(v, e):
+    """Every e-multiset of slots, kept if it covers and connects 1..v."""
+    slots = [(a, b) for a in range(1, v + 1) for b in range(a, v + 1)]
+    for combo in combinations_with_replacement(slots, e):
+        parent = list(range(v + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for a, b in combo:
+            parent[find(a)] = find(b)
+        covered = {u for edge in combo for u in edge}
+        if covered == set(range(1, v + 1)) and len({find(u) for u in covered}) == 1:
+            yield combo
+
+
+def scanning_graph_key(v, edges):
+    """The canonical key as it was first written: every refinement round
+    scans every edge for every vertex."""
+    deg = [0] * (v + 1)
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    profile = {u: (deg[u],) for u in range(1, v + 1)}
+    for _ in range(2):
+        nxt = {}
+        for u in range(1, v + 1):
+            neigh = sorted(profile[b if a == u else a] for a, b in edges if u in (a, b))
+            nxt[u] = (profile[u], tuple(neigh))
+        profile = nxt
+    order = sorted(range(1, v + 1), key=lambda u: (profile[u], u))
+    relabel = {u: k + 1 for k, u in enumerate(order)}
+    return (v, tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in edges)))
+
+
+def reference_bicircular_family(max_edges):
+    seen = set()
+    for v in range(1, max_edges + 2):
+        for e in range(max(1, v - 1), max_edges + 1):
+            for combo in filtered_multigraphs(v, e):
+                key = scanning_graph_key(v, combo)
+                if key not in seen:
+                    seen.add(key)
+                    G = MultiGraph(v=v, edges=combo)
+                    yield G, bicircular(G)
+
+
+def stream(pairs):
+    return [(G.v, G.edges, M.basis_masks) for G, M in pairs]
+
+
+class TestBicircularEnumeration:
+    def test_family_matches_filter(self):
+        got = stream(bicircular_family(5))
+        assert len(got) == 174
+        assert got == stream(reference_bicircular_family(5))
+
+    def test_six_edge_prefix_matches_filter(self):
+        got = stream(islice(bicircular_family(6), 200))
+        assert got == stream(islice(reference_bicircular_family(6), 200))
+
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_search_matches_filter(self, v):
+        for e in range(1, 6):
+            assert list(classifiers._connected_multigraphs(v, e)) == list(
+                filtered_multigraphs(v, e)
+            ), (v, e)
+
+    def test_canonical_key_matches_scanning_formula(self):
+        graphs = [
+            (v, combo)
+            for v in range(1, 7)
+            for e in range(1, 6)
+            for combo in filtered_multigraphs(v, e)
+        ]
+        assert any(a == b for _, combo in graphs for a, b in combo)  # loops
+        assert any(len(set(combo)) < len(combo) for _, combo in graphs)  # parallels
+        for v, combo in graphs:
+            assert classifiers._canonical_graph_key(v, combo) == scanning_graph_key(v, combo)
