@@ -60,6 +60,11 @@ ALL_REALS = "AllReals"
 # search heuristic only, never a soundness parameter
 SEARCH_TOL = 1e-9
 
+# rows per _batch_eval call in the random phase: each row is evaluated on
+# its own, so the values do not depend on it, while its (rows x terms)
+# temporaries stay in cache and off the peak memory
+EVAL_ROWS = 256
+
 
 # ---------------------------------------------------------------------------
 # counterexample search
@@ -206,7 +211,8 @@ def counterexample_search(
         X = np.exp(u)
         if not positive:
             X = X * rng.choice((-1.0, 1.0), size=(size, k))
-        vals = _batch_eval(coeffs, exps, X)
+        vals = np.concatenate(
+            [_batch_eval(coeffs, exps, X[i:i + EVAL_ROWS]) for i in range(0, size, EVAL_ROWS)])
         evals += size
         i = int(np.argmin(vals))
         if vals[i] < best_val:
@@ -506,6 +512,7 @@ def hpp_verdict(
             v = strong_rayleigh_verdict(f, (i, j), budget=budget, seed=seed)
             tiers.extend(v.diagnostics.get("tiers_run", []))
             orig_pair = (comp_sorted[i - 1], comp_sorted[j - 1])
+            search = {k: v.diagnostics[k] for k in ("evals", "best") if k in v.diagnostics}
             if v.fails:
                 lifted = [Fraction(1)] * M.n
                 for idx, e in enumerate(comp_sorted):
@@ -516,12 +523,12 @@ def hpp_verdict(
                 return verdicts.fails(
                     Witness(value=Fraction(value), point=tuple(lifted)),
                     property="hpp", pair=orig_pair, component=sorted(comp),
-                    tiers_run=tiers,
+                    tiers_run=tiers, **search,
                 )
             if not v.holds:
                 return verdicts.inconclusive(
                     property="hpp", pair=orig_pair, component=sorted(comp),
-                    tiers_run=tiers,
+                    tiers_run=tiers, **search,
                 )
             inner_certs.append((sorted(comp), orig_pair, v.certificate))
     return verdicts.holds(

@@ -46,8 +46,7 @@ def elements(mask: int) -> list[int]:
     return out
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
+popcount = int.bit_count
 
 
 @functools.cache
@@ -286,38 +285,38 @@ def relabel_map(n: int, removed: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _relabel_mask(mask: int, mapping: dict[int, int]) -> int:
-    out = 0
-    for e in elements(mask):
-        out |= 1 << (mapping[e] - 1)
-    return out
+def _squeeze(masks: Iterable[int], smask: int) -> set[int]:
+    """Drop the bits of smask from every mask, shifting the bits above each
+    dropped one down, highest first, so labels follow :func:`relabel_map`."""
+    masks = set(masks)
+    while smask:
+        low = (1 << (smask.bit_length() - 1)) - 1
+        masks = {(B & low) | ((B >> 1) & ~low) for B in masks}
+        smask &= low
+    return masks
+
+
+def _minor(M: Matroid, smask: int, pick) -> Matroid:
+    """The bases B whose |B & smask| is the pick (min: deletion, max:
+    contraction) over all bases, with smask squeezed out."""
+    sizes = [popcount(B & smask) for B in M.basis_masks]
+    k = pick(sizes)
+    masks = [B for B, size in zip(M.basis_masks, sizes) if size == k]
+    return Matroid(M.n - popcount(smask), _squeeze(masks, smask))
 
 
 def delete(M: Matroid, S: Iterable[int]) -> Matroid:
-    """Deletion M\\S; new labels follow :func:`relabel_map`."""
+    """Deletion M\\S: the bases meeting S least; new labels follow
+    :func:`relabel_map`."""
     smask = mask_of(S)
-    keep = ((1 << M.n) - 1) & ~smask
-    new_r = max(popcount(B & keep) for B in M.basis_masks)
-    mapping = relabel_map(M.n, set_of(smask))
-    masks = {
-        _relabel_mask(B & keep, mapping)
-        for B in M.basis_masks
-        if popcount(B & keep) == new_r
-    }
-    return Matroid(M.n - popcount(smask), masks)
+    return _minor(M, smask, min) if smask else M
 
 
 def contract(M: Matroid, S: Iterable[int]) -> Matroid:
-    """Contraction M/S; new labels follow :func:`relabel_map`."""
+    """Contraction M/S: the bases meeting S most; new labels follow
+    :func:`relabel_map`."""
     smask = mask_of(S)
-    rk = rank_of(M, smask)
-    mapping = relabel_map(M.n, set_of(smask))
-    masks = {
-        _relabel_mask(B & ~smask, mapping)
-        for B in M.basis_masks
-        if popcount(B & smask) == rk
-    }
-    return Matroid(M.n - popcount(smask), masks)
+    return _minor(M, smask, max) if smask else M
 
 
 def direct_sum(M: Matroid, N: Matroid) -> Matroid:
@@ -354,26 +353,13 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
         if is_loop(mat, e) or is_coloop(mat, e):
             raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
 
-    map_m = relabel_map(M.n, [p])
-    map_n = {e: new + (M.n - 1) for e, new in relabel_map(N.n, [q]).items()}
     pbit, qbit = 1 << (p - 1), 1 << (q - 1)
-
-    circ: set[int] = set()
-    cm = circuits(M).masks
-    cn = circuits(N).masks
-    for c in cm:
-        if not (c & pbit):
-            circ.add(_relabel_mask(c, map_m))
-    for d in cn:
-        if not (d & qbit):
-            circ.add(_relabel_mask(d, map_n))
-    for c in cm:
-        if c & pbit:
-            for d in cn:
-                if d & qbit:
-                    circ.add(
-                        _relabel_mask(c ^ pbit, map_m) | _relabel_mask(d ^ qbit, map_n)
-                    )
+    cm, cn = circuits(M).masks, circuits(N).masks
+    m_thru = _squeeze([c for c in cm if c & pbit], pbit)
+    n_thru = {d << (M.n - 1) for d in _squeeze([d for d in cn if d & qbit], qbit)}
+    circ = _squeeze([c for c in cm if not c & pbit], pbit)
+    circ |= {d << (M.n - 1) for d in _squeeze([d for d in cn if not d & qbit], qbit)}
+    circ |= {c | d for c in m_thru for d in n_thru}
 
     n_tot = M.n + N.n - 2
     r_tot = M.r + N.r - 1
@@ -497,61 +483,50 @@ def has_minor(M: Matroid, N: Matroid) -> bool:
 
 
 def is_connected(M: Matroid) -> bool:
-    """No 1-separation: rank(A) + rank(E-A) > r for all proper nonempty A."""
-    if M.n <= 1:
-        return True
-    full = (1 << M.n) - 1
-    for A in range(1, full):
-        if not (A & 1):
-            continue  # fix element 1 on side A; complements are symmetric
-        if rank_of(M, A) + rank_of(M, full ^ A) == M.r:
-            return False
-    return True
+    """No 1-separation: at most one connected component."""
+    return len(connected_components(M)) <= 1
 
 
 def two_separation(M: Matroid) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """A partition (A, B), both sides >= 2, with rank(A)+rank(B)-r <= 1, or None."""
+    """A partition (A, B), both sides >= 2, with rank(A)+rank(B)-r <= 1, or None.
+
+    A is the lowest mask that contains element 1 and qualifies."""
     if M.n < 4:
         return None
     full = (1 << M.n) - 1
-    for A in range(1, full):
-        if not (A & 1):
-            continue
-        if popcount(A) < 2 or popcount(A) > M.n - 2:
-            continue
-        B = full ^ A
-        if rank_of(M, A) + rank_of(M, B) - M.r <= 1:
-            return (set_of(A), set_of(B))
-    return None
+    rank = M._rank_table()
+    sizes = subset_sizes(M.n)[1::2]  # the odd masks A, i.e. those holding element 1
+    ok = (rank[1::2] + rank[::-1][1::2] <= M.r + 1) & (sizes >= 2) & (sizes <= M.n - 2)
+    hits = np.flatnonzero(ok)
+    if not len(hits):
+        return None
+    A = 2 * int(hits[0]) + 1
+    return (set_of(A), set_of(full ^ A))
 
 
 def connected_components(M: Matroid) -> list[frozenset[int]]:
     """Finest direct-sum decomposition of the ground set.
 
-    Two elements share a component iff some circuit contains both; loops and
-    coloops are singletons.
+    The components of the fundamental graph of one basis B, where b in B and
+    e outside B are adjacent when B - b + e is a basis (Krogdahl, Discrete
+    Math. 19, 1977); loops and coloops are singletons.
     """
-    parent = list(range(M.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for c in circuits(M).masks:
-        es = elements(c)
-        for e in es[1:]:
-            union(es[0], e)
-    groups: dict[int, set[int]] = {}
-    for e in range(1, M.n + 1):
-        groups.setdefault(find(e), set()).add(e)
-    return sorted((frozenset(g) for g in groups.values()), key=min)
+    B, bset = M.basis_masks[0], M._basis_set
+    in_B = [1 << i for i in range(M.n) if B >> i & 1]
+    groups = list(in_B)
+    for i in range(M.n):
+        ebit = 1 << i
+        if B & ebit:
+            continue
+        comp = ebit
+        for bbit in in_B:
+            if (B ^ bbit | ebit) in bset:
+                comp |= bbit
+        for g in [g for g in groups if g & comp]:
+            groups.remove(g)
+            comp |= g
+        groups.append(comp)
+    return sorted((set_of(g) for g in groups), key=min)
 
 
 def restriction(M: Matroid, S: Iterable[int]) -> Matroid:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import matroidwb
 from matroidwb import analysis
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import sparse_paving_family
-from matroidwb.constructions import principal_extension, uniform
+from matroidwb.constructions import graphic, k4, principal_extension, uniform
 from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
@@ -82,6 +83,16 @@ class TestTiers:
         assert v.outcome == "Inconclusive" and ran == [False]
         assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search", "sdp"]
 
+    @pytest.mark.parametrize("index", [HPP_FAILS, HPP_INCONCLUSIVE])
+    def test_hpp_keeps_the_search_diagnostics(self, sp73, index):
+        M, seed = sp73[index]
+        v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
+        inner = analysis.strong_rayleigh_verdict(
+            basis_poly(M), v.diagnostics["pair"], budget=BUDGET, seed=seed)
+        assert v.outcome == inner.outcome != "Holds"
+        assert v.diagnostics["evals"] == inner.diagnostics["evals"] > 0
+        assert v.diagnostics["best"] == inner.diagnostics["best"]
+
     def test_unverified_lifted_witness_raises(self, sp73, monkeypatch):
         M, seed = sp73[HPP_FAILS]
         N = direct_sum(M, uniform(1, 1))
@@ -110,6 +121,26 @@ def test_hpp_holds_names_single_pair_certificate(sp73):
     M, seed = sp73[0]
     v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
     assert v.holds and v.certificate.kind == SINGLE_PAIR_WAGNER
+
+
+class TestMinCEstimate:
+    @pytest.mark.parametrize("M", [uniform(2, 4), graphic(k4())], ids=["U24", "MK4"])
+    def test_rayleigh_matroids_give_at_least_one(self, M):
+        est = analysis.min_c_estimate(basis_poly(M), samples=20, seed=3)
+        assert est.value >= 1
+
+    def test_value_is_the_ratio_at_the_returned_pair_and_point(self):
+        f = basis_poly(graphic(k4()))
+        est = analysis.min_c_estimate(f, samples=20, seed=5)
+        (i, j), x = est.pair, est.point
+        num = f.derivative(i).evaluate(x) * f.derivative(j).evaluate(x)
+        den = f.derivative(i).derivative(j).evaluate(x) * f.evaluate(x)
+        assert Fraction(num) / Fraction(den) == est.value
+
+    @pytest.mark.parametrize(
+        "f", [basis_poly(uniform(1, 1)), BoundedPoly(3, {(0, 0): 2})], ids=["x1", "const"])
+    def test_fewer_than_two_active_variables(self, f):
+        assert analysis.min_c_estimate(f) == analysis.CEstimate(None, None, None)
 
 
 def binary_matroid(columns, r):
@@ -189,6 +220,17 @@ class TestSearch:
                 for v, xv in zip(var_ids, x):
                     point[v - 1] = xv
                 assert g == pytest.approx(p.evaluate_float(point), rel=1e-9, abs=1e-9)
+
+    def test_batch_eval_rows_do_not_depend_on_the_batch(self):
+        p = rayleigh_diff(basis_poly(uniform(3, 6)), 1, 2)
+        coeffs, exps = analysis._term_arrays(p, tuple(sorted(p.active_vars())))
+        rng = np.random.default_rng(2)
+        X = np.exp(rng.normal(size=(2048, exps.shape[1])))
+        X *= rng.choice((-1.0, 1.0), size=X.shape)
+        whole = analysis._batch_eval(coeffs, exps, X)
+        rows = analysis.EVAL_ROWS
+        parts = [analysis._batch_eval(coeffs, exps, X[i:i + rows]) for i in range(0, len(X), rows)]
+        assert np.array_equal(np.concatenate(parts), whole)
 
     def test_refinement_finds_interior_minimum(self):
         x, value, nfev = analysis._local_refine(*QUADRATIC, np.array([0.5]), True, maxfun=200)

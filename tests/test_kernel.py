@@ -1,0 +1,246 @@
+"""The matroid kernel against the implementations it replaced: components
+from the fundamental graph against the circuit union-find and brute-force
+1-separations, bit-squeezed minors against relabel-map minors, and the
+vectorised 2-separation scan against the scalar loop."""
+import random
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
+from matroidwb.constructions import graphic, k4, uniform, whirl
+from matroidwb.core import (
+    Matroid,
+    circuits,
+    connected_components,
+    contract,
+    delete,
+    direct_sum,
+    elements,
+    is_connected,
+    mask_of,
+    popcount,
+    rank_of,
+    relabel_map,
+    restriction,
+    set_of,
+    two_separation,
+    two_sum,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def circuit_components(M):
+    """Union-find over the circuits: two elements share a component iff some
+    circuit holds both."""
+    parent = list(range(M.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for c in circuits(M).masks:
+        es = elements(c)
+        for e in es[1:]:
+            parent[find(e)] = find(es[0])
+    groups = {}
+    for e in range(1, M.n + 1):
+        groups.setdefault(find(e), set()).add(e)
+    return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def has_no_1_separation(M):
+    """rank(A) + rank(E - A) > r for every proper nonempty A holding element 1."""
+    full = (1 << M.n) - 1
+    return all(
+        rank_of(M, A) + rank_of(M, full ^ A) > M.r for A in range(1, full, 2)
+    )
+
+
+def scalar_two_separation(M):
+    if M.n < 4:
+        return None
+    full = (1 << M.n) - 1
+    for A in range(1, full, 2):
+        if 2 <= popcount(A) <= M.n - 2:
+            if rank_of(M, A) + rank_of(M, full ^ A) - M.r <= 1:
+                return (set_of(A), set_of(full ^ A))
+    return None
+
+
+def relabelled(mask, mapping):
+    return mask_of(mapping[e] for e in elements(mask) if e in mapping)
+
+
+def relabel_delete(M, S):
+    smask = mask_of(S)
+    keep = ((1 << M.n) - 1) & ~smask
+    new_r = max(popcount(B & keep) for B in M.basis_masks)
+    mapping = relabel_map(M.n, S)
+    return Matroid(
+        M.n - popcount(smask),
+        {relabelled(B, mapping) for B in M.basis_masks if popcount(B & keep) == new_r},
+    )
+
+
+def relabel_contract(M, S):
+    smask = mask_of(S)
+    rk = max(popcount(B & smask) for B in M.basis_masks)
+    mapping = relabel_map(M.n, S)
+    return Matroid(
+        M.n - popcount(smask),
+        {relabelled(B, mapping) for B in M.basis_masks if popcount(B & smask) == rk},
+    )
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+
+
+def _direct_sums(parts, count, seed):
+    rng = random.Random(seed)
+    small = [M for M in parts if M.n <= 5]
+    return [direct_sum(rng.choice(small), rng.choice(small)) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def families():
+    fams = {
+        "lpm6": [M for _, M in lpm_family(6)],
+        "sp7-3": list(sparse_paving_family(7, 3)),
+        "bc5": [M for _, M in bicircular_family(5)],
+        "sp8-4": list(sparse_paving_family(8, 4, limit=6)),
+    }
+    fams["sums"] = _direct_sums(fams["lpm6"] + fams["bc5"], 200, seed=5)
+    return fams
+
+
+def _random_minor_sets(M, rng):
+    k = rng.randint(1, M.n)
+    return sorted(rng.sample(range(1, M.n + 1), k))
+
+
+# ---------------------------------------------------------------------------
+# components and 1-separations
+
+
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums"])
+def test_components_match_circuit_union_find(families, name):
+    for M in families[name]:
+        comps = connected_components(M)
+        assert comps == circuit_components(M)
+        assert is_connected(M) == (len(comps) <= 1)
+
+
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums"])
+def test_is_connected_matches_brute_force(families, name):
+    for M in families[name]:
+        assert is_connected(M) == (M.n <= 1 or has_no_1_separation(M))
+
+
+def test_components_of_random_minors(families):
+    rng = random.Random(11)
+    pool = families["lpm6"] + families["bc5"] + families["sp7-3"]
+    for _ in range(800):
+        M = rng.choice(pool)
+        S = _random_minor_sets(M, rng)
+        N = (delete if rng.random() < 0.5 else contract)(M, S)
+        assert connected_components(N) == circuit_components(N)
+
+
+def test_direct_sum_components_are_the_parts_shifted():
+    M, N = whirl(3), uniform(2, 4)
+    assert connected_components(direct_sum(M, N)) == [
+        frozenset(range(1, 7)), frozenset(range(7, 11))
+    ]
+
+
+def test_whirl_7_is_connected_quickly():
+    W = whirl(7)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert is_connected(W)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+
+
+# ---------------------------------------------------------------------------
+# minors
+
+
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums"])
+def test_minors_match_relabel_map(families, name):
+    rng = random.Random(len(name))
+    for M in families[name][:300]:
+        S = _random_minor_sets(M, rng)
+        assert delete(M, S) == relabel_delete(M, S)
+        assert contract(M, S) == relabel_contract(M, S)
+        rest = [e for e in range(1, M.n + 1) if e not in S]
+        assert restriction(M, S) == relabel_delete(M, rest)
+
+
+def test_empty_minors_are_the_matroid():
+    M = whirl(3)
+    assert delete(M, []) == M and contract(M, []) == M and restriction(M, M.ground) == M
+
+
+FIXTURES = [
+    whirl(3), graphic(k4()), uniform(2, 5), uniform(0, 3), uniform(3, 3),
+    direct_sum(uniform(1, 2), whirl(3)), direct_sum(uniform(2, 4), uniform(0, 1)),
+    two_sum(graphic(k4()), 6, uniform(2, 3), 1),
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_minors_of_random_fixtures_equal_the_reference(data):
+    M = data.draw(st.sampled_from(FIXTURES))
+    S = data.draw(st.sets(st.integers(1, M.n), max_size=M.n))
+    T = data.draw(st.sets(st.integers(1, M.n), max_size=M.n).map(lambda t: t - S))
+    assert delete(M, S) == relabel_delete(M, S)
+    assert contract(M, S) == relabel_contract(M, S)
+    # a contraction after a deletion, labels as the reference chains them
+    N = delete(M, S)
+    later = [relabel_map(M.n, S)[e] for e in T]
+    assert contract(N, later) == relabel_contract(relabel_delete(M, S), later)
+
+
+# ---------------------------------------------------------------------------
+# 2-separations
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        lambda: (M for _, M in lpm_family(5)),
+        lambda: (M for _, M in bicircular_family(5)),
+        lambda: iter([
+            two_sum(uniform(2, 3), 3, uniform(2, 3), 3),
+            two_sum(graphic(k4()), 6, uniform(2, 3), 1),
+            two_sum(whirl(3), 1, graphic(k4()), 2),
+        ]),
+    ],
+    ids=["lpm5", "bc5", "two_sum"],
+)
+def test_two_separation_matches_scalar_loop(stream):
+    for M in stream():
+        assert two_separation(M) == scalar_two_separation(M)
+
+
+def test_two_sums_separate_and_whirls_do_not():
+    T = two_sum(graphic(k4()), 6, uniform(2, 3), 1)
+    assert two_separation(T) is not None
+    assert two_separation(whirl(4)) is None
+
+
+def test_whirl_7_two_separation_quickly():
+    start = time.perf_counter()
+    assert two_separation(whirl(7)) is None
+    assert time.perf_counter() - start < 0.1
+
