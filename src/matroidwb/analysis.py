@@ -27,6 +27,7 @@ from .core import (
     contract,
     delete,
     elements,
+    family_fingerprint,
     is_isomorphic,
     mask_of,
     popcount,
@@ -291,20 +292,11 @@ def _minor_reps(M: Matroid):
                     if key in seen_exact:
                         continue
                     seen_exact.add(key)
-                    fp = _matroid_fingerprint(M2)
-                    bucket = buckets.setdefault(fp, [])
+                    bucket = buckets.setdefault(family_fingerprint(M2.n, M2.basis_masks), [])
                     if any(is_isomorphic(M2, other) for other in bucket):
                         continue
                     bucket.append(M2)
                     yield M2, set_of(mask_of(I)), set_of(mask_of(D))
-
-
-def _matroid_fingerprint(M: Matroid):
-    deg = [0] * (M.n + 1)
-    for B in M.basis_masks:
-        for e in elements(B):
-            deg[e] += 1
-    return (M.n, M.r, len(M.basis_masks), tuple(sorted(deg[1:])))
 
 
 def is_balanced(M: Matroid) -> Verdict:
@@ -376,6 +368,19 @@ def _all_pairs(f: BoundedPoly, check, **diag) -> Verdict:
     return verdicts.holds(kind, per_pair, pair=None, **diag)
 
 
+def _rayleigh(f: BoundedPoly, c, pair, budget: int, seed: int, diag: dict) -> Verdict:
+    """The c-weighted Rayleigh inequality on the positive orthant (c = 1: the
+    Rayleigh inequality), for one pair or (when pair is None) for all pairs;
+    diag names the property."""
+    if any(cf < 0 for cf in f.terms.values()):
+        raise ValueError("f must have nonnegative coefficients")
+    if pair is None:
+        return _all_pairs(f, lambda pair: _rayleigh(f, c, pair, budget, seed, diag), **diag)
+    i, j = pair
+    diff = rayleigh_diff(f, i, j) if c == 1 else c_rayleigh_diff(f, i, j, c)
+    return _verdict_for_diff(diff, POSITIVE_ORTHANT, budget, seed, diag={**diag, "pair": (i, j)})
+
+
 def rayleigh_verdict(
     f: BoundedPoly,
     pair: Optional[tuple[int, int]] = None,
@@ -384,17 +389,7 @@ def rayleigh_verdict(
 ) -> Verdict:
     """Nonnegativity of the Rayleigh difference on the positive orthant,
     for one pair or (when pair is None) for all pairs."""
-    if any(c < 0 for c in f.terms.values()):
-        raise ValueError("f must have nonnegative coefficients")
-    if pair is not None:
-        i, j = pair
-        diff = rayleigh_diff(f, i, j)
-        return _verdict_for_diff(
-            diff, POSITIVE_ORTHANT, budget, seed,
-            diag={"property": "rayleigh", "pair": (i, j)},
-        )
-    return _all_pairs(
-        f, lambda pair: rayleigh_verdict(f, pair, budget=budget, seed=seed), property="rayleigh")
+    return _rayleigh(f, 1, pair, budget, seed, {"property": "rayleigh"})
 
 
 def strong_rayleigh_verdict(
@@ -424,19 +419,7 @@ def c_rayleigh_verdict(
     """The c-weighted Rayleigh inequality on the positive orthant."""
     if c <= 0:
         raise ValueError("c must be positive")
-    if any(cf < 0 for cf in f.terms.values()):
-        raise ValueError("f must have nonnegative coefficients")
-    if pair is not None:
-        i, j = pair
-        diff = c_rayleigh_diff(f, i, j, c)
-        return _verdict_for_diff(
-            diff, POSITIVE_ORTHANT, budget, seed,
-            diag={"property": "c_rayleigh", "c": str(Fraction(c)), "pair": (i, j)},
-        )
-    return _all_pairs(
-        f, lambda pair: c_rayleigh_verdict(f, c, pair, budget=budget, seed=seed),
-        property="c_rayleigh", c=str(Fraction(c)),
-    )
+    return _rayleigh(f, c, pair, budget, seed, {"property": "c_rayleigh", "c": str(Fraction(c))})
 
 
 @dataclass(frozen=True)
@@ -488,9 +471,12 @@ def hpp_verdict(
     """Half-plane property of the basis polynomial.
 
     Each connected component is tested through one designated pair (the
-    lowest-labelled pair lying in a common basis); a globally real-nonnegative
-    Rayleigh difference there certifies the component.  Fails witnesses are
-    lifted to the full ground set and re-verified exactly.
+    lowest-labelled pair lying in a common basis).  A Holds names the
+    ``SinglePairWagner`` certificate: the Rayleigh difference of that pair is
+    certified nonnegative on all of real space, but the Wagner-Wei criterion
+    also asks for stable minors at an element of the pair, and those
+    hypotheses are not checked.  Fails witnesses are lifted to the full
+    ground set and re-verified exactly.
     """
     comps = connected_components(M)
     inner_certs = []

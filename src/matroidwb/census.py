@@ -50,12 +50,14 @@ CSV_COLUMNS = [
     "neg_corr_all_pairs",
     "balanced",
     "rayleigh_outcome",
+    "c_rayleigh_outcome",
     "hpp_outcome",
     "witness_ref",
 ]
 
 # the columns that hold a Holds / Fails / Inconclusive outcome
-OUTCOME_COLUMNS = ("neg_corr_all_pairs", "balanced", "rayleigh_outcome", "hpp_outcome")
+OUTCOME_COLUMNS = (
+    "neg_corr_all_pairs", "balanced", "rayleigh_outcome", "c_rayleigh_outcome", "hpp_outcome")
 
 KNOWN_CHECKS = (
     "negcorr",
@@ -151,28 +153,24 @@ def _run_instance(payload) -> dict:
             row["balanced"] = v.outcome
             if v.fails:
                 witnesses.append(("balanced", v))
-        elif base == "rayleigh":
+        elif base in ("rayleigh", "c_rayleigh"):
             pair = wagner_pair(M)
-            if pair is None:
-                row["rayleigh_outcome"] = "Holds"
-            else:
+            if pair is None:  # no pair lies in a common basis
+                row[f"{base}_outcome"] = "Holds"
+                continue
+            if base == "rayleigh":
                 v = rayleigh_verdict(basis_poly(M), pair, budget=budget, seed=seed)
-                row["rayleigh_outcome"] = v.outcome
-                if v.fails:
-                    witnesses.append(("rayleigh", v))
+            else:
+                c = Fraction(arg or "8/7")
+                v = c_rayleigh_verdict(basis_poly(M), c, pair, budget=budget, seed=seed)
+            row[f"{base}_outcome"] = v.outcome
+            if v.fails:
+                witnesses.append((base, v))
         elif base in ("hpp", "strong_rayleigh"):
             v = hpp_verdict(M, budget=budget, seed=seed)
             row["hpp_outcome"] = v.outcome
             if v.fails:
                 witnesses.append(("hpp", v))
-        elif base == "c_rayleigh":
-            c = Fraction(arg or "8/7")
-            pair = wagner_pair(M)
-            if pair is not None:
-                v = c_rayleigh_verdict(basis_poly(M), c, pair, budget=budget, seed=seed)
-                row["rayleigh_outcome"] = v.outcome
-                if v.fails:
-                    witnesses.append(("c_rayleigh", v))
     wall_ms = int((time.perf_counter() - start) * 1000)
     return {
         "row": row,

@@ -11,7 +11,8 @@ from .core import (
     Matroid,
     circuits,
     dual,
-    elements,
+    family_fingerprint,
+    family_isomorphism,
     mask_of,
     popcount,
     subset_sizes,
@@ -227,79 +228,15 @@ def positroid_verdict(M: Matroid) -> Optional[tuple[int, ...]]:
 # sparse paving family (stream of isomorphism-class representatives)
 
 
-def _hyperfp(n: int, H: tuple[int, ...]):
-    """Cheap isomorphism invariant of a family of equal-size subsets."""
-    deg = [0] * (n + 1)
-    for A in H:
-        for e in elements(A):
-            deg[e] += 1
-    pair = []
-    for i in range(len(H)):
-        for j in range(i + 1, len(H)):
-            pair.append(popcount(H[i] & H[j]))
-    return (len(H), tuple(sorted(deg[1:])), tuple(sorted(pair)))
-
-
-def _hyper_iso(n: int, H1: Sequence[int], H2: Sequence[int]) -> bool:
-    """Backtracking element bijection carrying one subset family onto the other."""
-    if len(H1) != len(H2):
-        return False
-    s2 = set(H2)
-
-    def profile(H):
-        deg = {e: 0 for e in range(1, n + 1)}
-        for A in H:
-            for e in elements(A):
-                deg[e] += 1
-        return deg
-
-    d1, d2 = profile(H1), profile(H2)
-    if sorted(d1.values()) != sorted(d2.values()):
-        return False
-    order = sorted(range(1, n + 1), key=lambda e: (-d1[e], e))
-    cands = {e: [f for f in range(1, n + 1) if d2[f] == d1[e]] for e in order}
-    assign: dict[int, int] = {}
-    used = set()
-
-    def img(mask: int) -> Optional[int]:
-        out = 0
-        for e in elements(mask):
-            if e not in assign:
-                return None
-            out |= 1 << (assign[e] - 1)
-        return out
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return all(img(A) in s2 for A in H1)
-        e = order[k]
-        for f in cands[e]:
-            if f in used:
-                continue
-            assign[e] = f
-            used.add(f)
-            ok = True
-            # prune: fully-mapped members must land in H2
-            for A in H1:
-                m = img(A)
-                if m is not None and m not in s2:
-                    ok = False
-                    break
-            if ok and extend(k + 1):
-                return True
-            del assign[e]
-            used.discard(f)
-        return False
-
-    return extend(0)
-
-
 def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]:
     """Sparse paving matroids on [n] of rank r, one per isomorphism class.
 
     Non-basis families H (r-sets, pairwise symmetric difference >= 4) are
-    grown breadth-first by size; each new class representative is validated
-    and streamed.  Deterministic enumeration order.
+    grown breadth-first by size.  A permutation of [n] fixes the set of
+    r-sets, so it carries bases onto bases exactly when it carries H onto the
+    other non-basis family: each new H is compared with the earlier ones by
+    :func:`family_isomorphism`, and each new class representative is
+    validated and streamed.  Deterministic enumeration order.
     """
     if not (0 < r < n) or n > 10:
         raise ValueError("need 0 < r < n <= 10")
@@ -327,7 +264,7 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
     reps: list[tuple[int, ...]] = [()]  # H as sorted index tuples
     seen_exact: set[tuple[int, ...]] = {()}
     while reps and emitted < limit:
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        buckets: dict[tuple, list[tuple[int, ...]]] = {}  # non-basis masks
         next_reps: list[tuple[int, ...]] = []
         for H in reps:
             forbidden = 0
@@ -341,14 +278,10 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
                     continue
                 seen_exact.add(H2)
                 masks2 = tuple(rsets[i] for i in H2)
-                fp = _hyperfp(n, masks2)
-                bucket = buckets.setdefault(fp, [])
-                if any(
-                    _hyper_iso(n, masks2, tuple(rsets[i] for i in other))
-                    for other in bucket
-                ):
+                bucket = buckets.setdefault(family_fingerprint(n, masks2), [])
+                if any(family_isomorphism(n, masks2, other) is not None for other in bucket):
                     continue
-                bucket.append(H2)
+                bucket.append(masks2)
                 next_reps.append(H2)
                 M = emit(H2)
                 if M is not None:
@@ -469,8 +402,9 @@ def bicircular_family(
     max_edges: int, limit: int = 10**9
 ) -> Iterator[tuple[MultiGraph, Matroid]]:
     """Connected multigraphs (loops and parallels allowed) up to the edge
-    bound, streamed with their bicircular matroids; cheap canonical keys
-    suppress most isomorphic duplicates."""
+    bound, streamed with their bicircular matroids.  The stream is of graphs,
+    not of matroid classes: cheap canonical keys suppress most isomorphic
+    graphs, and non-isomorphic graphs can have isomorphic matroids."""
     if max_edges > 9:
         raise ValueError("bicircular census capped at 9 edges")
     seen = set()

@@ -284,7 +284,7 @@ def cmd_verify_paper(args) -> int:
         pairs = [(i, j) for i in range(1, Mr.n + 1) for j in range(i + 1, Mr.n + 1)]
         for (i, j) in pairs[:3]:
             lhs = rayleigh_diff(g, i, j)
-            rhs = xe2 * _embed(rayleigh_diff(f, i, j), with_coloop.n)
+            rhs = xe2 * BoundedPoly(with_coloop.n, rayleigh_diff(f, i, j).terms)
             if lhs != rhs:
                 ok_coloop = False
         if Mr.n >= 1 and not rayleigh_diff(g, e, 1).is_zero():
@@ -294,7 +294,7 @@ def cmd_verify_paper(args) -> int:
 
     report("mk4-not-positroid", positroid_verdict(named_atlas("MK4")) is None)
     # K4 with a loop at a vertex: n = 7, r = 4, 32 bases; the first of the
-    # two non-positroids among the 2,429 classes of bicircular_family(7)
+    # two non-positroids among the 2,429 graphs of bicircular_family(7)
     k4_loop = MultiGraph(
         v=4, edges=((1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     )
@@ -336,12 +336,6 @@ def cmd_verify_paper(args) -> int:
 
     print(f"{'ALL FIXTURES PASS' if failures == 0 else f'{failures} FIXTURES FAILED'}")
     return 0 if failures == 0 else 3
-
-
-def _embed(f, n: int):
-    from .poly import BoundedPoly
-
-    return BoundedPoly(n, f.terms)
 
 
 def _random_matroid(rng, max_n: int = 7):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     MAX_ELEMENTS,
@@ -141,24 +141,26 @@ def lattice_path_pair_from_endpoints(
 # bipartite matching (used by transversal matroids)
 
 
-def _matchable(items: Sequence[int], adj: dict[int, Sequence[int]], n_right: int) -> bool:
-    """Whether every item can be matched to a distinct right vertex."""
+def _matcher(adj: dict[int, Sequence[int]]) -> Callable[[int], bool]:
+    """A fresh augmenting-path matcher (Kuhn's algorithm): match(x) is True
+    when an augmenting path adds x to the matching grown so far.  Mapped over
+    items, the count of True is the size of a maximum matching, and all True
+    means every item matches."""
     match_r: dict[int, int] = {}
 
-    def augment(x: int, seen: set[int]) -> bool:
+    def match(x: int, seen: Optional[set[int]] = None) -> bool:
+        if seen is None:
+            seen = set()
         for y in adj[x]:
             if y in seen:
                 continue
             seen.add(y)
-            if y not in match_r or augment(match_r[y], seen):
+            if y not in match_r or match(match_r[y], seen):
                 match_r[y] = x
                 return True
         return False
 
-    for x in items:
-        if not augment(x, set()):
-            return False
-    return True
+    return match
 
 
 # ---------------------------------------------------------------------------
@@ -172,32 +174,10 @@ def uniform(k: int, n: int) -> Matroid:
 
 
 def graphic(G: MultiGraph) -> Matroid:
-    """Cycle matroid: bases are the maximal spanning forests of G."""
-    comp = _graph_components(G, range(1, G.e + 1))
-    rank = G.v - len(comp)
-    masks = []
-    for combo in combinations(range(1, G.e + 1), rank):
-        if _is_forest(G, combo):
-            masks.append(mask_of(combo))
-    return Matroid(G.e, masks)
-
-
-def _is_forest(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
-    parent = list(range(G.v + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in edge_ids:
-        a, b = G.edges[i - 1]
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+    """Cycle matroid: bases are the maximal spanning forests of G, the edge
+    sets with fewer edges than vertices in every component."""
+    rank = sum(len(verts) - 1 for verts, _ in _graph_components(G, range(1, G.e + 1)))
+    return _component_bounded(G, rank, 0)
 
 
 def _graph_components(G: MultiGraph, edge_ids: Iterable[int]) -> list[tuple[set[int], int]]:
@@ -236,22 +216,22 @@ def _graph_components(G: MultiGraph, edge_ids: Iterable[int]) -> list[tuple[set[
 
 def bicircular(G: MultiGraph) -> Matroid:
     """Bicircular matroid: a set of edges is independent when every component
-    of the edge-induced subgraph has at most one cycle (a loop is a cycle)."""
+    of the edge-induced subgraph has at most one cycle (a loop is a cycle),
+    that is no more edges than vertices."""
     rank = 0
     for verts, ecount in _graph_components(G, range(1, G.e + 1)):
         rank += min(ecount, len(verts))
+    return _component_bounded(G, rank, 1)
+
+
+def _component_bounded(G: MultiGraph, rank: int, slack: int) -> Matroid:
+    """The matroid on G's edges whose bases are the rank-sized edge sets with
+    fewer than |V(K)| + slack edges in every component K they induce."""
     masks = []
     for combo in combinations(range(1, G.e + 1), rank):
-        if _bicircular_independent(G, combo):
+        if all(ecount < len(verts) + slack for verts, ecount in _graph_components(G, combo)):
             masks.append(mask_of(combo))
     return Matroid(G.e, masks)
-
-
-def _bicircular_independent(G: MultiGraph, edge_ids: Iterable[int]) -> bool:
-    for verts, ecount in _graph_components(G, edge_ids):
-        if ecount > len(verts):
-            return False
-    return True
 
 
 def bicircular_presentation(G: MultiGraph) -> SetSystem:
@@ -266,27 +246,10 @@ def transversal(S: SetSystem) -> Matroid:
     adj = {
         e: [j for j, A in enumerate(S.family) if e in A] for e in range(1, S.n + 1)
     }
-    k = len(S.family)
-    rank = 0
-    # grow a maximum matching greedily over all ground elements
-    match_r: dict[int, int] = {}
-
-    def augment(x: int, seen: set[int]) -> bool:
-        for y in adj[x]:
-            if y in seen:
-                continue
-            seen.add(y)
-            if y not in match_r or augment(match_r[y], seen):
-                match_r[y] = x
-                return True
-        return False
-
-    for e in range(1, S.n + 1):
-        if augment(e, set()):
-            rank += 1
+    rank = sum(map(_matcher(adj), range(1, S.n + 1)))
     masks = []
     for combo in combinations(range(1, S.n + 1), rank):
-        if _matchable(combo, adj, k):
+        if all(map(_matcher(adj), combo)):
             masks.append(mask_of(combo))
     return Matroid(S.n, masks)
 

@@ -63,8 +63,8 @@ def subset_sizes(n: int) -> np.ndarray:
 class Matroid:
     """A matroid given by its set of bases.
 
-    Do not call the constructor directly with unchecked data; use
-    :func:`from_bases`, which validates the basis exchange axiom.
+    The constructor checks the basis exchange axiom unless ``validate`` is
+    false; :func:`from_bases` also checks the labels of the given sets.
     """
 
     __slots__ = (
@@ -376,65 +376,75 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
 # isomorphism and minors
 
 
-def _degree_profiles(M: Matroid):
-    n = M.n
-    d1 = [0] * (n + 1)
-    d2 = [[0] * (n + 1) for _ in range(n + 1)]
-    for B in M.basis_masks:
-        es = elements(B)
+def _profiles(n: int, masks: Iterable[int]):
+    """The pair degrees d[e][f], the number of members holding both e and f
+    (d[e][e]: holding e), and each element's profile: its degree and its
+    sorted row."""
+    d = [[0] * (n + 1) for _ in range(n + 1)]
+    for A in masks:
+        es = elements(A)
         for e in es:
-            d1[e] += 1
-        for i, e in enumerate(es):
-            for f in es[i + 1 :]:
-                d2[e][f] += 1
-                d2[f][e] += 1
-    profile = {
-        e: (d1[e], tuple(sorted(d2[e][1:]))) for e in range(1, n + 1)
-    }
-    return d1, d2, profile
+            row = d[e]
+            for f in es:
+                row[f] += 1
+    return d, [(d[e][e], tuple(sorted(d[e]))) for e in range(n + 1)]
 
 
-def isomorphism(M: Matroid, N: Matroid) -> Optional[dict[int, int]]:
-    """A ground-set bijection carrying bases onto bases, or None.
+def family_fingerprint(n: int, masks: Iterable[int]) -> tuple:
+    """A cheap isomorphism invariant of a family of subsets of [n]: its size
+    and its sorted element degrees.  The pair degrees are left to
+    :func:`family_isomorphism`, since most families bucketed by this
+    invariant are never compared."""
+    deg = [0] * (n + 1)
+    count = 0
+    for A in masks:
+        count += 1
+        for e in elements(A):
+            deg[e] += 1
+    return (n, count, tuple(sorted(deg[1:])))
 
-    Backtracking search pruned by per-element basis degrees and pair degrees.
+
+def family_isomorphism(
+    n: int, A: Iterable[int], B: Iterable[int]
+) -> Optional[dict[int, int]]:
+    """A bijection of [n] carrying the family of masks A onto B, or None.
+
+    Backtracking over elements, rarest profile first, with each element's
+    candidates restricted to its profile and pruned by pair degrees against
+    the elements already placed; a full assignment must carry every member
+    of A into B.
     """
-    if (M.n, M.r, len(M.basis_masks)) != (N.n, N.r, len(N.basis_masks)):
+    A, B = tuple(A), frozenset(B)
+    if len(A) != len(B):
         return None
-    d1m, d2m, prof_m = _degree_profiles(M)
-    d1n, d2n, prof_n = _degree_profiles(N)
-    if sorted(prof_m.values()) != sorted(prof_n.values()):
+    dA, prof_A = _profiles(n, A)
+    dB, prof_B = _profiles(n, B)
+    if sorted(prof_A[1:]) != sorted(prof_B[1:]):
         return None
-
-    n = M.n
-    # most constrained first: rarest profile, then element id for determinism
     freq: dict = {}
-    for p in prof_m.values():
+    for p in prof_A[1:]:
         freq[p] = freq.get(p, 0) + 1
-    order = sorted(range(1, n + 1), key=lambda e: (freq[prof_m[e]], e))
+    order = sorted(range(1, n + 1), key=lambda e: (freq[prof_A[e]], e))
     candidates = {
-        e: [f for f in range(1, n + 1) if prof_n[f] == prof_m[e]] for e in order
+        e: [f for f in range(1, n + 1) if prof_B[f] == prof_A[e]] for e in order
     }
-    n_bases = set(N.basis_masks)
-
     assign: dict[int, int] = {}
     used = [False] * (n + 1)
 
     def extend(idx: int) -> bool:
         if idx == n:
-            for B in M.basis_masks:
+            for S in A:
                 img = 0
-                for e in elements(B):
+                for e in elements(S):
                     img |= 1 << (assign[e] - 1)
-                if img not in n_bases:
+                if img not in B:
                     return False
             return True
         e = order[idx]
         for f in candidates[e]:
             if used[f]:
                 continue
-            ok = all(d2m[e][e2] == d2n[f][f2] for e2, f2 in assign.items())
-            if not ok:
+            if not all(dA[e][e2] == dB[f][f2] for e2, f2 in assign.items()):
                 continue
             assign[e] = f
             used[f] = True
@@ -444,9 +454,14 @@ def isomorphism(M: Matroid, N: Matroid) -> Optional[dict[int, int]]:
             used[f] = False
         return False
 
-    if extend(0):
-        return dict(assign)
-    return None
+    return dict(assign) if extend(0) else None
+
+
+def isomorphism(M: Matroid, N: Matroid) -> Optional[dict[int, int]]:
+    """A ground-set bijection carrying bases onto bases, or None."""
+    if (M.n, M.r, len(M.basis_masks)) != (N.n, N.r, len(N.basis_masks)):
+        return None
+    return family_isomorphism(M.n, M.basis_masks, N.basis_masks)
 
 
 def is_isomorphic(M: Matroid, N: Matroid) -> bool:

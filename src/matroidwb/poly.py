@@ -12,8 +12,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import Matroid, elements, mask_of, popcount, set_of
-from .constructions import MultiGraph
+from .core import Matroid, elements, mask_of, set_of
+from .constructions import MultiGraph, _graph_components
 from .errors import (
     DegreeOverflow,
     LoopPresent,
@@ -82,12 +82,6 @@ class BoundedPoly:
         for (lin, sq) in self.terms:
             m |= lin | sq
         return set_of(m)
-
-    def degrees(self) -> set[int]:
-        return {popcount(lin) + 2 * popcount(sq) for (lin, sq) in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def coefficient(self, lin: Iterable[int] | int, sq: Iterable[int] | int = 0) -> Rational:
         lmask = lin if isinstance(lin, int) else mask_of(lin)
@@ -238,20 +232,14 @@ def rayleigh_diff(f: BoundedPoly, i: int, j: int) -> BoundedPoly:
 
 
 def c_rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational) -> BoundedPoly:
-    """d_i f * d_j f - c * d_i d_j f * f for multi-affine f.
+    """d_i f * d_j f - c * d_i d_j f * f for multi-affine f, as the Rayleigh
+    difference plus (1 - c) * f_ij * f, since d_i d_j f = f_ij.
 
     Unlike the c=1 case this still involves x_i and x_j (linearly).
     """
-    if i == j:
-        raise ValueError("need two distinct variables")
-    if not f.is_multiaffine:
-        raise ValueError("needs a multi-affine polynomial")
-    f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-    xi = BoundedPoly.variable(f.n, i)
-    xj = BoundedPoly.variable(f.n, j)
-    base = f_i * f_j - f_ij.scale(c) * f_0
-    rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
-    return base + rest.scale(Fraction(1) - Fraction(c))
+    diff = rayleigh_diff(f, i, j)
+    f_ij = pair_decomposition(f, i, j)[0]
+    return diff + (f_ij * f).scale(1 - Fraction(c))
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +451,7 @@ def determinantal_rep_graphic(G: MultiGraph) -> list[list[int]]:
     spanning-forest generating polynomial of G."""
     if G.has_loop():
         raise LoopPresent("determinantal representation needs a loopless graph")
-    # find components over all vertices
-    parent = list(range(G.v + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b) in G.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    drop = {}
-    for v in range(1, G.v + 1):
-        root = find(v)
-        drop[root] = max(drop.get(root, 0), v)
-    dropped = set(drop.values())
+    dropped = {max(verts) for verts, _ in _graph_components(G, range(1, G.e + 1))}
     rows = [v for v in range(1, G.v + 1) if v not in dropped]
     row_index = {v: i for i, v in enumerate(rows)}
     vecs = []

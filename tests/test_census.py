@@ -1,4 +1,7 @@
-"""Census orchestration: the CSV does not depend on the worker count."""
+"""Census orchestration: the CSV does not depend on the worker count, and
+each check writes its own outcome column."""
+from collections import Counter
+
 import pytest
 
 from matroidwb.census import CensusJob, run_census
@@ -19,3 +22,22 @@ def test_one_and_two_workers_write_identical_csv(tmp_path, family, params):
         assert len(rows) > 1
         written.append((tmp_path / f"w{workers}.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def test_rayleigh_and_c_rayleigh_write_their_own_columns(tmp_path):
+    job = CensusJob(
+        family="sparse_paving", params={"n": 7, "r": 3}, checks=["rayleigh", "c_rayleigh:2"],
+        budget=2000, out_csv=str(tmp_path / "sp.csv"), witness_dir=str(tmp_path / "wit"),
+    )
+    rows = run_census(job)
+    assert Counter(row["rayleigh_outcome"] for row in rows) == {"Holds": 9, "Inconclusive": 5}
+    assert Counter(row["c_rayleigh_outcome"] for row in rows) == {"Fails": 14}
+    assert all(row["witness_ref"].endswith(".c_rayleigh.witness.json") for row in rows)
+
+
+def test_c_rayleigh_holds_without_a_pair_in_a_common_basis(tmp_path):
+    job = CensusJob(
+        family="lpm", params={"max_total": 1}, checks=["c_rayleigh"],
+        out_csv=str(tmp_path / "lpm.csv"), witness_dir=str(tmp_path / "wit"),
+    )
+    assert [row["c_rayleigh_outcome"] for row in run_census(job)] == ["Holds", "Holds"]

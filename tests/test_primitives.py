@@ -1,0 +1,371 @@
+"""One implementation per primitive, against the implementations it replaced:
+the family isomorphism search and fingerprint against the subset-family
+search of the sparse-paving enumeration, forests from the component count
+against a forest union-find, the transversal rank and basis test from one
+augmenting-path routine against two matchers, and the c-Rayleigh difference
+from the Rayleigh one against the expanded formula."""
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from typing import Optional
+
+import numpy as np
+import pytest
+
+from matroidwb.analysis import c_rayleigh_verdict, rayleigh_verdict
+from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
+from matroidwb.constructions import (
+    MultiGraph,
+    SetSystem,
+    _graph_components,
+    bicircular,
+    graphic,
+    transversal,
+)
+from matroidwb.core import (
+    Matroid,
+    elements,
+    family_fingerprint,
+    family_isomorphism,
+    is_isomorphic,
+    mask_of,
+    popcount,
+)
+from matroidwb.poly import BoundedPoly, basis_poly, c_rayleigh_diff, pair_decomposition
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def hyperfp(n, H):
+    """Degree and pairwise-intersection invariant of a family of subsets."""
+    deg = [0] * (n + 1)
+    for A in H:
+        for e in elements(A):
+            deg[e] += 1
+    pair = []
+    for i in range(len(H)):
+        for j in range(i + 1, len(H)):
+            pair.append(popcount(H[i] & H[j]))
+    return (len(H), tuple(sorted(deg[1:])), tuple(sorted(pair)))
+
+
+def hyper_iso(n, H1, H2):
+    """Backtracking element bijection carrying one subset family onto the
+    other, pruned by degrees and by fully mapped members."""
+    if len(H1) != len(H2):
+        return False
+    s2 = set(H2)
+
+    def profile(H):
+        deg = {e: 0 for e in range(1, n + 1)}
+        for A in H:
+            for e in elements(A):
+                deg[e] += 1
+        return deg
+
+    d1, d2 = profile(H1), profile(H2)
+    if sorted(d1.values()) != sorted(d2.values()):
+        return False
+    order = sorted(range(1, n + 1), key=lambda e: (-d1[e], e))
+    cands = {e: [f for f in range(1, n + 1) if d2[f] == d1[e]] for e in order}
+    assign = {}
+    used = set()
+
+    def img(mask) -> Optional[int]:
+        out = 0
+        for e in elements(mask):
+            if e not in assign:
+                return None
+            out |= 1 << (assign[e] - 1)
+        return out
+
+    def extend(k):
+        if k == n:
+            return all(img(A) in s2 for A in H1)
+        e = order[k]
+        for f in cands[e]:
+            if f in used:
+                continue
+            assign[e] = f
+            used.add(f)
+            if all(img(A) is None or img(A) in s2 for A in H1) and extend(k + 1):
+                return True
+            del assign[e]
+            used.discard(f)
+        return False
+
+    return extend(0)
+
+
+def is_forest(G, edge_ids):
+    parent = list(range(G.v + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in edge_ids:
+        a, b = G.edges[i - 1]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+def reference_graphic(G):
+    rank = G.v - len(_graph_components(G, range(1, G.e + 1)))
+    return Matroid(
+        G.e, [mask_of(c) for c in combinations(range(1, G.e + 1), rank) if is_forest(G, c)])
+
+
+def reference_bicircular(G):
+    rank = sum(min(ec, len(vs)) for vs, ec in _graph_components(G, range(1, G.e + 1)))
+    return Matroid(G.e, [
+        mask_of(c) for c in combinations(range(1, G.e + 1), rank)
+        if all(ec <= len(vs) for vs, ec in _graph_components(G, c))
+    ])
+
+
+def matchable(items, adj):
+    """Whether every item can be matched to a distinct right vertex."""
+    match_r = {}
+
+    def augment(x, seen):
+        for y in adj[x]:
+            if y in seen:
+                continue
+            seen.add(y)
+            if y not in match_r or augment(match_r[y], seen):
+                match_r[y] = x
+                return True
+        return False
+
+    return all(augment(x, set()) for x in items)
+
+
+def reference_transversal(S):
+    """A greedy maximum matching over all elements for the rank, and a
+    separate matcher per rank-sized set for the bases."""
+    adj = {e: [j for j, A in enumerate(S.family) if e in A] for e in range(1, S.n + 1)}
+    match_r = {}
+
+    def augment(x, seen):
+        for y in adj[x]:
+            if y in seen:
+                continue
+            seen.add(y)
+            if y not in match_r or augment(match_r[y], seen):
+                match_r[y] = x
+                return True
+        return False
+
+    rank = sum(augment(e, set()) for e in range(1, S.n + 1))
+    return Matroid(S.n, [
+        mask_of(c) for c in combinations(range(1, S.n + 1), rank) if matchable(c, adj)
+    ])
+
+
+def expanded_c_rayleigh_diff(f, i, j, c):
+    """f_i f_j - c f_ij f_0 + (1 - c)(x_i x_j f_ij^2 + x_i f_i f_ij + x_j f_j f_ij)."""
+    f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
+    xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
+    base = f_i * f_j - f_ij.scale(c) * f_0
+    rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
+    return base + rest.scale(Fraction(1) - Fraction(c))
+
+
+def permuted(masks, perm):
+    """The image of each mask under element e -> perm[e - 1]."""
+    return tuple(mask_of(perm[e - 1] for e in elements(m)) for m in masks)
+
+
+def canonical_forms(n, families):
+    """The lexicographically least sorted image of each family over all n!
+    permutations: two families are isomorphic iff their forms are equal."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    weights = np.left_shift(1, perms)  # weights[p, i]: the bit that element i+1 goes to
+    forms = []
+    for masks in families:
+        if not masks:
+            forms.append(())
+            continue
+        bits = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+        images = np.sort(weights @ bits.T, axis=1)
+        forms.append(tuple(images[np.lexsort(images.T[::-1])[0]].tolist()))
+    return forms
+
+
+# ---------------------------------------------------------------------------
+# isomorphism and fingerprints
+
+
+def random_family(rng, n, r, size):
+    rsets = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    return tuple(rng.sample(rsets, min(size, len(rsets))))
+
+
+def test_family_isomorphism_matches_hyper_iso():
+    rng = random.Random(17)
+    agree = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(4, 8)
+        r = rng.randint(1, n - 1)
+        A = random_family(rng, n, r, rng.randint(1, 9))
+        if rng.random() < 0.5:
+            B = permuted(A, rng.sample(range(1, n + 1), n))
+        else:
+            B = random_family(rng, n, r, len(A))
+        mapping = family_isomorphism(n, A, B)
+        assert (mapping is not None) == hyper_iso(n, A, B)
+        agree[mapping is not None] += 1
+        if mapping is not None:
+            assert sorted(mapping) == sorted(mapping.values()) == list(range(1, n + 1))
+            assert set(permuted(A, [mapping[e] for e in range(1, n + 1)])) == set(B)
+            assert family_fingerprint(n, A) == family_fingerprint(n, B)
+            assert hyperfp(n, A) == hyperfp(n, B)
+    assert min(agree.values()) > 100  # both answers are exercised
+
+
+def test_family_isomorphism_rejects_unequal_families():
+    assert family_isomorphism(4, [0b0011, 0b0101], [0b0011]) is None
+    assert family_isomorphism(4, [0b0011, 0b1100], [0b0011, 0b0101]) is None
+    assert family_isomorphism(4, [0b0011, 0b0101], [0b1010, 0b1100]) == {1: 4, 2: 2, 3: 3, 4: 1}
+
+
+def test_equal_pair_degrees_need_the_image_check():
+    """The two halves of a Pasch trade cover the same pairs, so with three
+    common triples the families agree in every pair degree under the
+    identity, yet no permutation carries one onto the other."""
+    common = [(1, 2, 5), (1, 2, 6), (1, 3, 6)]
+    A = [mask_of(s) for s in [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)] + common]
+    B = [mask_of(s) for s in [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)] + common]
+    assert family_fingerprint(6, A) == family_fingerprint(6, B)
+    assert not hyper_iso(6, A, B)
+    assert family_isomorphism(6, A, B) is None
+    forms = canonical_forms(6, [A, B])
+    assert forms[0] != forms[1]
+
+
+def test_fingerprints_are_invariant_under_permutations():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        A = random_family(rng, n, rng.randint(1, n - 1), rng.randint(1, 9))
+        B = permuted(A, rng.sample(range(1, n + 1), n))
+        assert family_fingerprint(n, A) == family_fingerprint(n, B)
+        assert hyperfp(n, A) == hyperfp(n, B)
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (6, 3), (7, 3)])
+def test_sparse_paving_representatives_are_pairwise_non_isomorphic(n, r):
+    forms = canonical_forms(n, [M.basis_masks for M in sparse_paving_family(n, r)])
+    assert len(set(forms)) == len(forms)
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (6, 3)])
+def test_sparse_paving_family_meets_every_class(n, r):
+    """Every non-basis family of r-sets with pairwise symmetric difference at
+    least 4 has the non-basis family of some streamed representative as an
+    isomorphic copy."""
+    rsets = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    families = [()]
+    for H in families:  # grows while it is read
+        for v in rsets:
+            if (not H or v > H[-1]) and all(popcount(v ^ h) >= 4 for h in H):
+                families.append(H + (v,))
+    streamed = [
+        tuple(m for m in rsets if m not in M._basis_set) for M in sparse_paving_family(n, r)
+    ]
+    assert set(canonical_forms(n, families)) == set(canonical_forms(n, streamed))
+
+
+def test_bicircular_family_5_is_174_graphs_in_33_classes():
+    """The stream is of graphs; the family search groups their matroids into
+    33 isomorphism classes, as brute force over all permutations does."""
+    matroids = [M for _, M in bicircular_family(5)]
+    assert len(matroids) == 174
+    buckets: dict = {}
+    classes = []
+    for M in matroids:
+        bucket = buckets.setdefault(family_fingerprint(M.n, M.basis_masks), [])
+        if not any(is_isomorphic(M, other) for other in bucket):
+            bucket.append(M)
+            classes.append(M)
+    assert len(classes) == 33
+    forms = {(M.n, canonical_forms(M.n, [M.basis_masks])[0]) for M in matroids}
+    assert len(forms) == 33
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def random_graphs(seed, count=200, max_v=5, max_e=8):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        v = rng.randint(1, max_v)
+        edges = tuple((rng.randint(1, v), rng.randint(1, v)) for _ in range(rng.randint(0, max_e)))
+        out.append(MultiGraph(v=v, edges=edges))
+    return out
+
+
+def test_graphic_matches_forest_union_find():
+    for G in random_graphs(41):
+        assert graphic(G) == reference_graphic(G)
+
+
+def test_bicircular_matches_reference():
+    for G in random_graphs(43):
+        assert bicircular(G) == reference_bicircular(G)
+
+
+# ---------------------------------------------------------------------------
+# bipartite matching
+
+
+def test_transversal_matches_two_matchers():
+    rng = random.Random(47)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        family = tuple(
+            frozenset(e for e in range(1, n + 1) if rng.random() < 0.4)
+            for _ in range(rng.randint(1, 5))
+        )
+        S = SetSystem(n=n, family=family)
+        assert transversal(S) == reference_transversal(S)
+
+
+# ---------------------------------------------------------------------------
+# Rayleigh differences
+
+C_VALUES = (1, Fraction(8, 7), Fraction(1, 2), 2, Fraction(3, 5))
+
+
+def test_c_rayleigh_diff_matches_expanded_formula():
+    checked = 0
+    for k, (_, M) in enumerate(lpm_family(5)):
+        if k % 5 or M.n < 2:
+            continue
+        f = basis_poly(M)
+        for i, j in combinations(range(1, M.n + 1), 2):
+            for c in C_VALUES:
+                assert c_rayleigh_diff(f, i, j, c) == expanded_c_rayleigh_diff(f, i, j, c)
+                checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("pair", [(1, 2), None])
+def test_c_rayleigh_at_one_is_rayleigh(pair):
+    for _, M in lpm_family(4):
+        if M.n < 2:
+            continue
+        f = basis_poly(M)
+        v, w = rayleigh_verdict(f, pair, budget=500), c_rayleigh_verdict(f, 1, pair, budget=500)
+        assert (v.outcome, v.certificate) == (w.outcome, w.certificate)
+        assert w.diagnostics["property"] == "c_rayleigh" and w.diagnostics["c"] == "1"
+        rest = {k: x for k, x in w.diagnostics.items() if k not in ("property", "c")}
+        assert v.diagnostics == {"property": "rayleigh", **rest}

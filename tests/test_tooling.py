@@ -1,0 +1,77 @@
+"""The names the benchmark harness looks up on the package: every traced
+layer function and family generator exists, every workload check runs, and
+the tracer installs and restores its wrappers.  The benchmark modules are
+read from their files and left as they are."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import matroidwb as mw
+from matroidwb.constructions import uniform
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    modules = {}
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        for name in ("tracing", "workloads"):
+            spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCHMARK / f"{name}.py")
+            modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(modules[name])
+    finally:
+        sys.dont_write_bytecode = saved
+    return modules
+
+
+def test_every_traced_name_exists(bench):
+    tracing = bench["tracing"]
+    for layer, (modname, names) in tracing.LAYERS.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            assert callable(getattr(module, name, None)), (layer, modname, name)
+    for name in tracing.FAMILY_GENERATORS:
+        assert callable(getattr(mw.classifiers, name, None)), name
+        assert getattr(mw, name) is getattr(mw.classifiers, name)
+
+
+def test_every_workload_check_runs_on_u24(bench):
+    workloads = bench["workloads"]
+    M = uniform(2, 4)
+    for name, check in workloads.CHECKS.items():
+        result = check(mw, M, 0)
+        assert workloads.outcome(name, result) in workloads.DECIDED, name
+        assert workloads.fingerprint(result) == workloads.fingerprint(check(mw, M, 0))
+
+
+def test_every_workload_yields_instances(bench):
+    workloads = bench["workloads"]
+    for name, workload in workloads.WORKLOADS.items():
+        group, inst_id, index, M, checks = next(iter(workload(mw)))
+        assert index == 0 and set(checks) <= set(workloads.CHECKS), name
+
+
+def test_tracer_records_spans_and_restores(bench):
+    tracing = bench["tracing"]
+    originals = {
+        (modname, name): getattr(importlib.import_module(modname), name)
+        for modname, names in tracing.LAYERS.values()
+        for name in names
+    }
+    init = mw.core.Matroid.__init__
+    tracer = tracing.Tracer()
+    with tracer:
+        assert mw.hpp_verdict is not originals[("matroidwb.analysis", "hpp_verdict")]
+        bench["workloads"].CHECKS["hpp"](mw, uniform(2, 4), 0)
+        list(mw.sparse_paving_family(5, 2))
+    totals = tracing.layer_totals(tracer.spans)
+    assert {"analysis.verdict", "core.build", "classifiers.enumerate"} <= set(totals)
+    assert set(totals) <= set(tracing.layer_names())
+    for (modname, name), fn in originals.items():
+        assert getattr(importlib.import_module(modname), name) is fn
+    assert mw.hpp_verdict is originals[("matroidwb.analysis", "hpp_verdict")]
+    assert mw.core.Matroid.__init__ is init
