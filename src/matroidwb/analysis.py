@@ -2,14 +2,13 @@
 
 Each check returns a Verdict: Holds with a certificate, Fails with an
 exactly re-verified witness, or Inconclusive with diagnostics.  A polynomial
-nonnegativity question runs through four tiers, cheapest first: nonnegative
-coefficients, the closed-form uniform Gram certificate, the float
-counterexample search, and (with an SDP backend) a rounded SDP Gram
-certificate.  The uniform Gram precedes the search because it is cheaper and
-an exact certificate rules out every witness; the SDP follows it so that a
-Fails never waits on a solver.  Floats are used only to hunt for candidates;
-every candidate is rounded to rationals and re-evaluated exactly before it
-is believed.
+nonnegativity question runs through three tiers, cheapest first:
+nonnegative coefficients, the closed-form uniform Gram certificate (exactly
+verified by :mod:`matroidwb.sos` before it is returned), and the float
+counterexample search.  The uniform Gram precedes the search because it is
+cheaper and an exact certificate rules out every witness.  Floats are used
+only to hunt for candidates; every candidate is rounded to rationals and
+re-evaluated exactly before it is believed.
 """
 from __future__ import annotations
 
@@ -30,8 +29,6 @@ from .core import (
     family_fingerprint,
     is_isomorphic,
     mask_of,
-    popcount,
-    rank_of,
     restriction,
     set_of,
 )
@@ -44,7 +41,7 @@ from .poly import (
 )
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
-from .sos import sdp_backend, sdp_certificate, sos_certificate, sos_certificate_orthant
+from .sos import sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -330,28 +327,22 @@ def _verdict_for_diff(
     diff: BoundedPoly, domain: str, budget: int, seed: int, *, diag: dict
 ) -> Verdict:
     """Nonnegativity of diff on the domain by the tiers of the module
-    docstring: "coeff", "gram", "search", then "sdp" when an SDP backend is
-    installed.  ``tiers_run`` lists the tiers that ran, in order."""
+    docstring: "coeff", "gram", then "search".  ``tiers_run`` lists the
+    tiers that ran, in order."""
     tiers = ["coeff"]
     if all(c >= 0 for c in diff.terms.values()):
         if domain == POSITIVE_ORTHANT or all(lin == 0 for (lin, _) in diff.terms):
             return verdicts.holds(COEFF_NONNEG, tiers_run=tiers, **diag)
-    square = domain == POSITIVE_ORTHANT
-    gram = len(diff.active_vars()) <= 10
-    if gram:
+    if len(diff.active_vars()) <= 10:
         tiers.append("gram")
+        square = domain == POSITIVE_ORTHANT
         cert = sos_certificate_orthant(diff) if square else sos_certificate(diff)
-        if cert is not None and cert.verify(diff):
+        if cert is not None:
             return verdicts.holds(SOS_GRAM, cert, tiers_run=tiers, **diag)
     tiers.append("search")
     sr = counterexample_search(diff, domain, budget=budget, seed=seed)
     if sr.witness is not None:
         return verdicts.fails(sr.witness, tiers_run=tiers, evals=sr.evals, best=sr.best, **diag)
-    if gram and sdp_backend():
-        tiers.append("sdp")
-        cert = sdp_certificate(diff, square)
-        if cert is not None and cert.verify(diff):
-            return verdicts.holds(SOS_GRAM, cert, tiers_run=tiers, **diag)
     return verdicts.inconclusive(tiers_run=tiers, best=sr.best, evals=sr.evals, **diag)
 
 
@@ -416,7 +407,9 @@ def c_rayleigh_verdict(
     budget: int = 20_000,
     seed: int = 0,
 ) -> Verdict:
-    """The c-weighted Rayleigh inequality on the positive orthant."""
+    """The c-Rayleigh inequality c * d_i f * d_j f >= f * d_i d_j f on the
+    positive orthant (see :func:`matroidwb.poly.c_rayleigh_diff`), for one
+    pair or (when pair is None) for all pairs."""
     if c <= 0:
         raise ValueError("c must be positive")
     return _rayleigh(f, c, pair, budget, seed, {"property": "c_rayleigh", "c": str(Fraction(c))})
@@ -424,7 +417,8 @@ def c_rayleigh_verdict(
 
 @dataclass(frozen=True)
 class CEstimate:
-    """Empirical upper bound for the best Rayleigh constant of f."""
+    """Sampled minimum of (d_i f * d_j f) / (d_ij f * f): f is c-Rayleigh
+    only for c >= 1 / value."""
 
     value: Optional[Fraction]
     pair: Optional[tuple[int, int]]
@@ -462,12 +456,7 @@ def min_c_estimate(f: BoundedPoly, samples: int = 120, seed: int = 0) -> CEstima
 # half-plane property via the single-pair criterion
 
 
-def hpp_verdict(
-    M: Matroid,
-    budget: int = 100_000,
-    seed: int = 0,
-    cross_check_all_pairs: bool = False,
-) -> Verdict:
+def hpp_verdict(M: Matroid, budget: int = 100_000, seed: int = 0) -> Verdict:
     """Half-plane property of the basis polynomial.
 
     Each connected component is tested through one designated pair (the
@@ -489,34 +478,28 @@ def hpp_verdict(
         pair = wagner_pair(sub)
         if pair is None:
             continue
-        f = basis_poly(sub)
-        pairs = combinations(range(1, sub.n + 1), 2) if cross_check_all_pairs else [pair]
-        for (i, j) in pairs:
-            bij = (1 << (i - 1)) | (1 << (j - 1))
-            if not any(B & bij == bij for B in sub.basis_masks):
-                continue
-            v = strong_rayleigh_verdict(f, (i, j), budget=budget, seed=seed)
-            tiers.extend(v.diagnostics.get("tiers_run", []))
-            orig_pair = (comp_sorted[i - 1], comp_sorted[j - 1])
-            search = {k: v.diagnostics[k] for k in ("evals", "best") if k in v.diagnostics}
-            if v.fails:
-                lifted = [Fraction(1)] * M.n
-                for idx, e in enumerate(comp_sorted):
-                    lifted[e - 1] = v.witness.point[idx]
-                value = rayleigh_diff(basis_poly(M), *orig_pair).evaluate(lifted)
-                if not value < 0:
-                    raise WitnessNotVerified(f"lifted witness for {orig_pair} has value {value}")
-                return verdicts.fails(
-                    Witness(value=Fraction(value), point=tuple(lifted)),
-                    property="hpp", pair=orig_pair, component=sorted(comp),
-                    tiers_run=tiers, **search,
-                )
-            if not v.holds:
-                return verdicts.inconclusive(
-                    property="hpp", pair=orig_pair, component=sorted(comp),
-                    tiers_run=tiers, **search,
-                )
-            inner_certs.append((sorted(comp), orig_pair, v.certificate))
+        v = strong_rayleigh_verdict(basis_poly(sub), pair, budget=budget, seed=seed)
+        tiers.extend(v.diagnostics.get("tiers_run", []))
+        orig_pair = (comp_sorted[pair[0] - 1], comp_sorted[pair[1] - 1])
+        search = {k: v.diagnostics[k] for k in ("evals", "best") if k in v.diagnostics}
+        if v.fails:
+            lifted = [Fraction(1)] * M.n
+            for idx, e in enumerate(comp_sorted):
+                lifted[e - 1] = v.witness.point[idx]
+            value = rayleigh_diff(basis_poly(M), *orig_pair).evaluate(lifted)
+            if not value < 0:
+                raise WitnessNotVerified(f"lifted witness for {orig_pair} has value {value}")
+            return verdicts.fails(
+                Witness(value=Fraction(value), point=tuple(lifted)),
+                property="hpp", pair=orig_pair, component=sorted(comp),
+                tiers_run=tiers, **search,
+            )
+        if not v.holds:
+            return verdicts.inconclusive(
+                property="hpp", pair=orig_pair, component=sorted(comp),
+                tiers_run=tiers, **search,
+            )
+        inner_certs.append((sorted(comp), orig_pair, v.certificate))
     return verdicts.holds(
         SINGLE_PAIR_WAGNER, inner_certs, property="hpp", tiers_run=tiers
     )

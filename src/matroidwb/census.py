@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 from .core import Matroid, is_connected
 from .analysis import (
@@ -21,7 +21,6 @@ from .analysis import (
     c_rayleigh_verdict,
     is_balanced,
     rayleigh_verdict,
-    strong_rayleigh_verdict,
     wagner_pair,
 )
 from .classifiers import (

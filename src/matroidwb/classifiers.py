@@ -9,8 +9,6 @@ import numpy as np
 
 from .core import (
     Matroid,
-    circuits,
-    dual,
     family_fingerprint,
     family_isomorphism,
     mask_of,
@@ -33,12 +31,13 @@ MAX_POSITROID_N = 12
 
 
 def is_paving(M: Matroid) -> bool:
-    """No circuit smaller than the rank."""
-    return all(popcount(c) >= M.r for c in circuits(M).masks)
+    """No circuit smaller than the rank: every (r-1)-set is independent."""
+    return M.r == 0 or bool(M._indep_table()[subset_sizes(M.n) == M.r - 1].all())
 
 
 def is_sparse_paving(M: Matroid) -> bool:
-    return is_paving(M) and is_paving(dual(M))
+    """M and its dual are paving: also every (r+1)-set spans."""
+    return is_paving(M) and bool(M._spanning_table()[subset_sizes(M.n) == M.r + 1].all())
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +247,17 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
             if i != j and popcount(rsets[i] ^ rsets[j]) == 2:
                 conflict[i] |= 1 << j
 
-    emitted = 0
-
-    def emit(H_idx: tuple[int, ...]) -> Optional[Matroid]:
+    def emit(H_idx: tuple[int, ...]) -> Matroid:
+        # r-sets pairwise at symmetric difference >= 4 always leave a
+        # sparse paving matroid; the constructor still validates it
         gone = {rsets[i] for i in H_idx}
-        masks = [m for m in rsets if m not in gone]
-        M = Matroid(n, masks)
-        return M if is_sparse_paving(M) else None
+        return Matroid(n, [m for m in rsets if m not in gone])
 
+    emitted = 0
     # level 0: the uniform matroid
-    M0 = emit(())
-    if M0 is not None and limit > 0:
+    if limit > 0:
         emitted += 1
-        yield M0
+        yield emit(())
     reps: list[tuple[int, ...]] = [()]  # H as sorted index tuples
     seen_exact: set[tuple[int, ...]] = {()}
     while reps and emitted < limit:
@@ -283,12 +280,10 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
                     continue
                 bucket.append(masks2)
                 next_reps.append(H2)
-                M = emit(H2)
-                if M is not None:
-                    emitted += 1
-                    yield M
-                    if emitted >= limit:
-                        return
+                emitted += 1
+                yield emit(H2)
+                if emitted >= limit:
+                    return
         reps = next_reps
 
 

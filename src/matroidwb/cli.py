@@ -38,7 +38,7 @@ from .constructions import (
     uniform,
     whirl,
 )
-from .core import contract, delete, dual, from_bases, relax, relabel_map, two_sum
+from .core import contract, delete, dual, relax, relabel_map, two_sum
 from .errors import MatroidError
 from .poly import basis_poly, rayleigh_diff
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE
@@ -132,6 +132,9 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     M = _load_matroid(args.matroid)
     pair = tuple(_int_list(args.pair)) if args.pair else None
+    if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
+                             or not all(1 <= e <= M.n for e in pair)):
+        raise ValueError(f"--pair needs two distinct elements of 1..{M.n}, got {args.pair!r}")
     f = basis_poly(M)
     start = time.perf_counter()
     prop = args.prop
@@ -143,7 +146,10 @@ def cmd_check(args) -> int:
         v = rayleigh_verdict(f, pair, budget=args.budget, seed=args.seed)
     elif prop == "strong_rayleigh":
         p = pair or wagner_pair(M)
-        v = strong_rayleigh_verdict(f, p, budget=args.budget, seed=args.seed)
+        if p is None:  # no pair lies in a common basis: every difference is a constant >= 0
+            v = rayleigh_verdict(f, None, budget=args.budget, seed=args.seed)
+        else:
+            v = strong_rayleigh_verdict(f, p, budget=args.budget, seed=args.seed)
     elif prop == "hpp":
         v = hpp_verdict(M, budget=args.budget, seed=args.seed)
     elif prop == "c_rayleigh":
@@ -244,7 +250,7 @@ def _as_strings(M) -> list[str]:
 def cmd_verify_paper(args) -> int:
     import random
 
-    from .core import direct_sum, is_isomorphic
+    from .core import direct_sum
     from .poly import BoundedPoly
 
     failures = 0

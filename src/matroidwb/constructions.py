@@ -11,13 +11,8 @@ from .core import (
     Matroid,
     closure,
     dual,
-    elements,
     is_connected,
     mask_of,
-    popcount,
-    rank_of,
-    relax,
-    set_of,
 )
 from .errors import (
     DependentGeneratorSet,
@@ -313,15 +308,12 @@ def principal_truncation(M: Matroid, F: Iterable[int]) -> Matroid:
     return Matroid(M.n, masks)
 
 
-def principal_extension(M: Matroid, F: Iterable[int], label: Optional[int] = None) -> Matroid:
-    """Add a new element freely on (the closure of) F.
+def principal_extension(M: Matroid, F: Iterable[int]) -> Matroid:
+    """Add a new element M.n + 1 freely on (the closure of) F.
 
-    The new element is always M.n + 1; `label`, when given, must agree.
     Bases: all old bases plus B u {new} for B a basis of the principal
     truncation by F.
     """
-    if label is not None and label != M.n + 1:
-        raise ValueError(f"new element must be {M.n + 1}")
     if M.n + 1 > MAX_ELEMENTS:
         raise ValueError("ground set cap exceeded")
     tr = principal_truncation(M, F)

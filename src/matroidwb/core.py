@@ -244,22 +244,16 @@ def closure(M: Matroid, S: Iterable[int] | int) -> frozenset[int]:
 
 
 def circuits(M: Matroid) -> CircuitSet:
-    """All minimal dependent subsets (sizes are at most r+1)."""
+    """All minimal dependent subsets (sizes are at most r+1): the dependent
+    sets S with S - e independent for every e in S."""
     if M._circuits is not None:
         return M._circuits
     indep = M._indep_table()
-    found: list[int] = []
-    elems = list(range(1, M.n + 1))
-    for k in range(1, M.r + 2):
-        for combo in combinations(elems, k):
-            mask = mask_of(combo)
-            if indep[mask]:
-                continue
-            if any(mask & c == c for c in found):
-                continue
-            if all(indep[mask ^ (1 << (e - 1))] for e in combo):
-                found.append(mask)
-    cs = CircuitSet(M.n, tuple(sorted(found)))
+    minimal = indep == 0
+    for i in range(M.n):
+        # the sets containing element i+1 against the same sets without it
+        minimal.reshape(-1, 2, 1 << i)[:, 1, :] &= indep.reshape(-1, 2, 1 << i)[:, 0, :] == 1
+    cs = CircuitSet(M.n, tuple(np.flatnonzero(minimal).tolist()))
     M._circuits = cs
     return cs
 

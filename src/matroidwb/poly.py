@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Matroid, elements, mask_of, set_of
@@ -167,17 +166,6 @@ class BoundedPoly:
             total += v
         return _norm(total)
 
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for (lin, sq), c in self.terms.items():
-            v = float(c)
-            for e in elements(lin):
-                v *= point[e - 1]
-            for e in elements(sq):
-                v *= point[e - 1] * point[e - 1]
-            total += v
-        return total
-
     def assign(self, values: Mapping[int, Rational]) -> "BoundedPoly":
         """Substitute exact values for some variables."""
         vmask = mask_of(values.keys())
@@ -232,14 +220,17 @@ def rayleigh_diff(f: BoundedPoly, i: int, j: int) -> BoundedPoly:
 
 
 def c_rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational) -> BoundedPoly:
-    """d_i f * d_j f - c * d_i d_j f * f for multi-affine f, as the Rayleigh
-    difference plus (1 - c) * f_ij * f, since d_i d_j f = f_ij.
+    """c * d_i f * d_j f - d_i d_j f * f for multi-affine f (the c-Rayleigh
+    difference of Huh, Schroter and Wang), as c times the Rayleigh difference
+    plus (c - 1) * f_ij * f, since d_i d_j f = f_ij.  c >= 1 asks for less
+    than the Rayleigh property, and c = 1 is the Rayleigh difference.
 
     Unlike the c=1 case this still involves x_i and x_j (linearly).
     """
+    c = Fraction(c)
     diff = rayleigh_diff(f, i, j)
     f_ij = pair_decomposition(f, i, j)[0]
-    return diff + (f_ij * f).scale(1 - Fraction(c))
+    return diff.scale(c) + (f_ij * f).scale(c - 1)
 
 
 # ---------------------------------------------------------------------------

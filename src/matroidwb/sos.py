@@ -1,23 +1,20 @@
-"""Sum-of-squares certificates via exact Gram matrices.
+"""Sum-of-squares certificates via exact Gram matrices: the second of the
+three nonnegativity tiers in :mod:`matroidwb.analysis`.
 
 A certificate is a PSD rational Gram matrix over an explicit monomial basis
-reproducing the target polynomial exactly.  Candidates come from two
-stages: the closed-form uniform Gram matrix, which costs no solver, and a
-numerical SDP solution (needs the optional cvxpy backend), which is only a
-hint.  Candidate matrices are rationalized, projected back onto the affine
-coefficient constraints (the projection is exact and entrywise), and then
-PSD-tested in rational arithmetic.  Anything that fails the exact test is
-discarded.
+reproducing the target polynomial exactly.  The one candidate is the
+closed-form uniform Gram matrix, which spreads each coefficient of the
+target evenly over the entries whose monomial pair produces it: it matches
+the coefficients by construction and costs no solver.  It is checked once,
+by :meth:`GramCertificate.verify` (coefficients, symmetry and an LDL^T PSD
+test in rational arithmetic), and discarded if that fails.
 """
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
-
-import numpy as np
 
 from .core import elements
 from .poly import BoundedPoly
@@ -70,9 +67,10 @@ class GramCertificate:
         return {k: v for k, v in out.items() if v != 0}
 
     def verify(self, p: BoundedPoly) -> bool:
-        """Exact term-by-term equality with p (after substitution) plus PSD."""
+        """PSD plus exact term-by-term equality with p (after substitution).
+        PSD is tested first: a uniform Gram matrix that fails, fails there."""
         target = _poly_to_exponents(p, self.var_ids, self.substitution == "square")
-        return self.expanded() == target and self.is_psd()
+        return self.is_psd() and self.expanded() == target
 
     def is_psd(self) -> bool:
         """Symmetric and PSD; the LDL^T test alone reads a non-symmetric
@@ -165,70 +163,9 @@ def _signature_groups(blocks: list[list[ExpVec]]):
     return groups
 
 
-def _uniform_candidates(blocks, groups, target):
-    """The one closed-form candidate: every signature's coefficient spread
-    evenly over its entries."""
-    mats = [[[Fraction(0)] * len(basis) for _ in basis] for basis in blocks]
-    for sig, entries in groups.items():
-        val = target.get(sig, Fraction(0)) / len(entries)
-        for (bi, i, j) in entries:
-            mats[bi][i][j] = val
-    return [mats]
-
-
-def _project_onto_constraints(mats, groups, target):
-    for sig, entries in groups.items():
-        s = sum(mats[bi][i][j] for (bi, i, j) in entries)
-        want = target.get(sig, Fraction(0))
-        if s != want:
-            adj = (want - s) / len(entries)
-            for (bi, i, j) in entries:
-                mats[bi][i][j] += adj
-    return mats
-
-
-def _solve_sdp(blocks, groups, target) -> Optional[list[np.ndarray]]:
-    """Max-min-eigenvalue feasibility SDP; returns float Gram blocks or None."""
-    try:
-        import cvxpy as cp
-    except ImportError:  # pragma: no cover
-        return None
-    qvars = [cp.Variable((len(b), len(b)), symmetric=True) for b in blocks]
-    t = cp.Variable()
-    cons = [Q - t * np.eye(Q.shape[0]) >> 0 for Q in qvars]
-    for sig, entries in groups.items():
-        expr = sum(qvars[bi][i, j] for (bi, i, j) in entries)
-        cons.append(expr == float(target.get(sig, Fraction(0))))
-    prob = cp.Problem(cp.Maximize(t), cons)
-    for solver in ("CLARABEL", "SCS"):
-        try:
-            prob.solve(solver=solver)
-        except Exception:
-            continue
-        if prob.status in ("optimal", "optimal_inaccurate") and t.value is not None:
-            if t.value > -1e-7 and all(Q.value is not None for Q in qvars):
-                return [np.array(Q.value) for Q in qvars]
-    return None
-
-
-_DENOMINATORS = (1, 2, 4, 8, 16, 64, 256, 4096, 10**6, 10**9, 10**12)
-
-
-def _sdp_candidates(blocks, groups, target):
-    """The SDP solution symmetrized and rounded at increasing denominators;
-    nothing when no backend is installed."""
-    num = _solve_sdp(blocks, groups, target)
-    for den in _DENOMINATORS if num is not None else ():
-        yield [
-            [[Fraction(float(m[i][j] + m[j][i]) / 2).limit_denominator(den) for j in range(len(m))]
-             for i in range(len(m))]
-            for m in num
-        ]
-
-
-def _certify(p: BoundedPoly, square: bool, candidates) -> Optional[GramCertificate]:
-    """The first candidate Gram matrix that, projected onto the coefficient
-    constraints of p (of p(y^2) when square), is exactly PSD."""
+def _certify(p: BoundedPoly, square: bool) -> Optional[GramCertificate]:
+    """The uniform Gram certificate for p (for p(y^2) when square), or None
+    when it does not verify exactly."""
     var_ids = tuple(sorted(p.active_vars()))
     k = len(var_ids)
     if k > 10:
@@ -247,44 +184,34 @@ def _certify(p: BoundedPoly, square: bool, candidates) -> Optional[GramCertifica
     groups = _signature_groups(blocks)
     if any(sig not in groups for sig in target):
         return None
-    for mats in candidates(blocks, groups, target):
-        mats = _project_onto_constraints(mats, groups, target)
-        if not all(_is_psd_exact([row[:] for row in m]) for m in mats):
-            continue
-        cert = GramCertificate(
-            var_ids,
-            tuple(
-                GramBlock(tuple(basis), tuple(tuple(row) for row in m))
-                for basis, m in zip(blocks, mats)
-            ),
-            "square" if square else "none",
-        )
-        if cert.expanded() == target:
-            return cert
-    return None
+    # every signature's coefficient spread evenly over its entries
+    mats = [[[Fraction(0)] * len(basis) for _ in basis] for basis in blocks]
+    for sig, entries in groups.items():
+        val = target.get(sig, Fraction(0)) / len(entries)
+        for (bi, i, j) in entries:
+            mats[bi][i][j] = val
+    cert = GramCertificate(
+        var_ids,
+        tuple(
+            GramBlock(tuple(basis), tuple(tuple(row) for row in m))
+            for basis, m in zip(blocks, mats)
+        ),
+        "square" if square else "none",
+    )
+    return cert if cert.verify(p) else None
 
 
 def sos_certificate(p: BoundedPoly) -> Optional[GramCertificate]:
     """Exact SOS certificate for a per-variable-degree-<=2 polynomial over
     the multi-affine monomial basis, from the closed-form uniform Gram
-    matrix; None when that matrix is not PSD, which is not a proof of
-    non-SOS (see :func:`sdp_certificate`)."""
-    return _certify(p, False, _uniform_candidates)
+    matrix.  A returned certificate has passed :meth:`GramCertificate.verify`
+    against p; None when that matrix is not PSD, which is not a proof of
+    non-SOS."""
+    return _certify(p, False)
 
 
 def sos_certificate_orthant(p: BoundedPoly) -> Optional[GramCertificate]:
     """Uniform-Gram SOS certificate for p(y_1^2, ..., y_k^2), which proves
-    p >= 0 on the closed positive orthant."""
-    return _certify(p, True, _uniform_candidates)
-
-
-def sdp_backend() -> bool:
-    """Whether the optional SDP backend (cvxpy) is importable."""
-    return importlib.util.find_spec("cvxpy") is not None
-
-
-def sdp_certificate(p: BoundedPoly, square: bool) -> Optional[GramCertificate]:
-    """Certificate for p (for p(y^2) when square) from a rounded numerical
-    SDP solution: the slower stage after the uniform Gram matrix.  None when
-    no rounding is exactly PSD or no SDP backend is installed."""
-    return _certify(p, square, _sdp_candidates)
+    p >= 0 on the closed positive orthant.  A returned certificate has passed
+    :meth:`GramCertificate.verify` against p."""
+    return _certify(p, True)

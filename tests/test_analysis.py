@@ -19,6 +19,7 @@ from matroidwb.constructions import graphic, k4, principal_extension, uniform
 from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
+from matroidwb.sos import GramCertificate
 from matroidwb.verdicts import COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
 
 BUDGET = 20_000
@@ -56,6 +57,25 @@ class TestTiers:
         assert v.certificate.data.verify(rayleigh_diff(f, 1, 2))
         assert v.diagnostics["tiers_run"] == ["coeff", "gram"]
 
+    def test_each_gram_holds_verifies_its_certificate_once(self, sp73, monkeypatch):
+        calls = []
+        verify = GramCertificate.verify
+
+        def counted(cert, p):
+            calls.append(p)
+            return verify(cert, p)
+
+        monkeypatch.setattr(GramCertificate, "verify", counted)
+        held = 0
+        for M in [uniform(2, 4)] + [M for M, _ in sp73]:
+            f, pair = basis_poly(M), analysis.wagner_pair(M)
+            calls.clear()
+            v = analysis.strong_rayleigh_verdict(f, pair, budget=2000)
+            if v.holds and v.certificate.kind == SOS_GRAM:
+                assert calls == [rayleigh_diff(f, *pair)]
+                held += 1
+        assert held >= 2
+
     def test_fails_witness_verifies_on_lifted_ground_set(self, sp73):
         M, seed = sp73[HPP_FAILS]
         N = direct_sum(M, uniform(1, 1))  # a coloop: the lift adds a coordinate
@@ -66,22 +86,11 @@ class TestTiers:
         assert value == v.witness.value < 0
         assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search"]
 
-    def test_inconclusive_names_the_tiers_that_ran(self, sp73, monkeypatch):
-        monkeypatch.setattr(analysis, "sdp_backend", lambda: False)
+    def test_inconclusive_names_the_tiers_that_ran(self, sp73):
         M, seed = sp73[HPP_INCONCLUSIVE]
         v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
         assert v.outcome == "Inconclusive"
         assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search"]
-
-    def test_sdp_runs_after_the_search_when_a_backend_is_present(self, sp73, monkeypatch):
-        ran = []
-        monkeypatch.setattr(analysis, "sdp_backend", lambda: True)
-        monkeypatch.setattr(
-            analysis, "sdp_certificate", lambda p, square: ran.append(square))
-        M, seed = sp73[HPP_INCONCLUSIVE]
-        v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
-        assert v.outcome == "Inconclusive" and ran == [False]
-        assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search", "sdp"]
 
     @pytest.mark.parametrize("index", [HPP_FAILS, HPP_INCONCLUSIVE])
     def test_hpp_keeps_the_search_diagnostics(self, sp73, index):
@@ -216,10 +225,10 @@ class TestSearch:
         for X in (positive, signed):
             got = analysis._batch_eval(coeffs, exps, X)
             for x, g in zip(X, got):
-                point = [1.0] * p.n
+                point = [Fraction(1)] * p.n
                 for v, xv in zip(var_ids, x):
-                    point[v - 1] = xv
-                assert g == pytest.approx(p.evaluate_float(point), rel=1e-9, abs=1e-9)
+                    point[v - 1] = Fraction(xv)
+                assert g == pytest.approx(float(p.evaluate(point)), rel=1e-9, abs=1e-9)
 
     def test_batch_eval_rows_do_not_depend_on_the_batch(self):
         p = rayleigh_diff(basis_poly(uniform(3, 6)), 1, 2)

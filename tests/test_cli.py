@@ -1,0 +1,48 @@
+"""The `check` command at its boundary: a pair from the command line is
+validated before any check runs, and strong_rayleigh without a pair has an
+answer when no pair lies in a common basis."""
+import json
+
+import pytest
+
+from matroidwb.cli import main
+from matroidwb.constructions import uniform
+from matroidwb.io import format_matroid
+
+PAIR_PROPS = ["negcorr", "rayleigh", "strong_rayleigh", "c_rayleigh"]
+
+
+@pytest.fixture
+def u13(tmp_path):
+    path = tmp_path / "u13.txt"
+    path.write_text(format_matroid(uniform(1, 3)))
+    return str(path)
+
+
+@pytest.mark.parametrize("prop", PAIR_PROPS)
+def test_pair_outside_the_ground_set_is_an_error(u13, prop, capsys):
+    assert main(["check", u13, "--prop", prop, "--pair", "1,9"]) == 4
+    assert "two distinct elements of 1..3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", ["1", "1,2,3", "2,2", "0,1"])
+def test_pair_needs_two_distinct_elements(u13, pair, capsys):
+    assert main(["check", u13, "--prop", "negcorr", "--pair", pair]) == 4
+    assert "two distinct elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("M", [uniform(1, 3), uniform(0, 2)], ids=["U13", "U02"])
+def test_strong_rayleigh_without_a_pair_in_a_common_basis(tmp_path, M, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(format_matroid(M))
+    outcomes = []
+    for prop in ("rayleigh", "strong_rayleigh"):
+        assert main(["check", str(path), "--prop", prop]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        outcomes.append((payload["outcome"], payload["certificate_kind"]))
+    assert outcomes[0] == outcomes[1] == ("Holds", "CoefficientNonneg")
+
+
+def test_valid_pair_runs_the_check(u13, capsys):
+    assert main(["check", u13, "--prop", "negcorr", "--pair", "1,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["pair"] == [1, 3]

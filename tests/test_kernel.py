@@ -1,16 +1,24 @@
 """The matroid kernel against the implementations it replaced: components
 from the fundamental graph against the circuit union-find and brute-force
-1-separations, bit-squeezed minors against relabel-map minors, and the
-vectorised 2-separation scan against the scalar loop."""
+1-separations, bit-squeezed minors against relabel-map minors, the
+vectorised 2-separation scan against the scalar loop, and circuits, paving
+and sparse paving from the subset tables against the circuit loop."""
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
-from matroidwb.constructions import graphic, k4, uniform, whirl
+from matroidwb.classifiers import (
+    bicircular_family,
+    is_paving,
+    is_sparse_paving,
+    lpm_family,
+    sparse_paving_family,
+)
+from matroidwb.constructions import graphic, k4, named_atlas, uniform, whirl
 from matroidwb.core import (
     Matroid,
     circuits,
@@ -18,6 +26,7 @@ from matroidwb.core import (
     contract,
     delete,
     direct_sum,
+    dual,
     elements,
     is_connected,
     mask_of,
@@ -52,6 +61,28 @@ def circuit_components(M):
     for e in range(1, M.n + 1):
         groups.setdefault(find(e), set()).add(e)
     return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def loop_circuits(M):
+    """Minimal dependent sets by size, each tested against the smaller ones
+    found and its one-smaller subsets."""
+    found = []
+    for k in range(1, M.r + 2):
+        for combo in combinations(range(1, M.n + 1), k):
+            mask = mask_of(combo)
+            if M.is_independent(mask) or any(mask & c == c for c in found):
+                continue
+            if all(M.is_independent(mask ^ (1 << (e - 1))) for e in combo):
+                found.append(mask)
+    return tuple(sorted(found))
+
+
+def loop_is_paving(M):
+    return all(popcount(c) >= M.r for c in loop_circuits(M))
+
+
+def loop_is_sparse_paving(M):
+    return loop_is_paving(M) and loop_is_paving(dual(M))
 
 
 def has_no_1_separation(M):
@@ -244,3 +275,31 @@ def test_whirl_7_two_separation_quickly():
     assert two_separation(whirl(7)) is None
     assert time.perf_counter() - start < 0.1
 
+
+# ---------------------------------------------------------------------------
+# circuits, paving and sparse paving
+
+
+EDGE_CASES = [uniform(0, 3), uniform(3, 3), uniform(0, 0), uniform(1, 1)]
+ATLAS = [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
+
+
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums", "atlas", "edge"])
+def test_circuits_and_paving_match_the_circuit_loop(families, name):
+    stream = {"atlas": ATLAS, "edge": EDGE_CASES}.get(name) or families[name]
+    for M in stream:
+        assert circuits(M).masks == loop_circuits(M)
+        assert is_paving(M) == loop_is_paving(M)
+        assert is_sparse_paving(M) == loop_is_sparse_paving(M)
+
+
+@pytest.mark.parametrize("n,r,limit", [(6, 3, 1000), (7, 3, 1000), (8, 4, 6)])
+def test_streamed_sparse_paving_matroids_pass_the_oracle(n, r, limit):
+    streamed = list(sparse_paving_family(n, r, limit=limit))
+    assert streamed and all(loop_is_sparse_paving(M) for M in streamed)
+
+
+def test_circuits_of_u_8_16_quickly():
+    start = time.perf_counter()
+    assert len(circuits(uniform(8, 16))) == 11440
+    assert time.perf_counter() - start < 0.5

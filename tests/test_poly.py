@@ -88,10 +88,6 @@ class TestBoundedPoly:
         v = f.evaluate([Fraction(1, 2)] * 4)
         assert v == Fraction(6, 4)
 
-    def test_evaluate_float(self):
-        f = basis_poly(uniform(2, 4))
-        assert abs(f.evaluate_float([1.0] * 4) - 6.0) < 1e-12
-
     def test_assign(self):
         f = BoundedPoly(2, {(X1 | X2, 0): 3, (X1, 0): 1})
         g = f.assign({2: Fraction(2)})

@@ -20,7 +20,9 @@ from matroidwb.constructions import (
     _graph_components,
     bicircular,
     graphic,
+    k4,
     transversal,
+    uniform,
 )
 from matroidwb.core import (
     Matroid,
@@ -32,6 +34,7 @@ from matroidwb.core import (
     popcount,
 )
 from matroidwb.poly import BoundedPoly, basis_poly, c_rayleigh_diff, pair_decomposition
+from matroidwb.verdicts import COEFF_NONNEG
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -169,12 +172,12 @@ def reference_transversal(S):
 
 
 def expanded_c_rayleigh_diff(f, i, j, c):
-    """f_i f_j - c f_ij f_0 + (1 - c)(x_i x_j f_ij^2 + x_i f_i f_ij + x_j f_j f_ij)."""
+    """c f_i f_j - f_ij f_0 + (c - 1)(x_i x_j f_ij^2 + x_i f_i f_ij + x_j f_j f_ij)."""
     f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
     xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
-    base = f_i * f_j - f_ij.scale(c) * f_0
+    base = (f_i * f_j).scale(c) - f_ij * f_0
     rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
-    return base + rest.scale(Fraction(1) - Fraction(c))
+    return base + rest.scale(Fraction(c) - 1)
 
 
 def permuted(masks, perm):
@@ -356,6 +359,20 @@ def test_c_rayleigh_diff_matches_expanded_formula():
                 assert c_rayleigh_diff(f, i, j, c) == expanded_c_rayleigh_diff(f, i, j, c)
                 checked += 1
     assert checked > 1000
+
+
+def test_c_rayleigh_diff_is_c_times_the_derivative_product_minus_f_times_the_mixed_one():
+    f = basis_poly(graphic(k4()))
+    for i, j in combinations(range(1, f.n + 1), 2):
+        di, dj = f.derivative(i), f.derivative(j)
+        for c in C_VALUES:
+            assert c_rayleigh_diff(f, i, j, c) == (di * dj).scale(c) - f * di.derivative(j)
+
+
+@pytest.mark.parametrize("M", [uniform(2, 3), uniform(2, 4)], ids=["U23", "U24"])
+def test_uniform_matroids_are_c_rayleigh_at_eight_sevenths(M):
+    v = c_rayleigh_verdict(basis_poly(M), Fraction(8, 7))
+    assert v.holds and v.certificate.kind == COEFF_NONNEG
 
 
 @pytest.mark.parametrize("pair", [(1, 2), None])

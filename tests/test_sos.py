@@ -1,9 +1,8 @@
-"""Exact Gram certificates: the uniform stage, the SDP rounding stage and
-the exact verification."""
+"""Exact Gram certificates: the uniform Gram matrix and its exact
+verification."""
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from matroidwb import sos
@@ -13,7 +12,6 @@ from matroidwb.sos import (
     GramBlock,
     GramCertificate,
     _is_psd_exact,
-    sdp_certificate,
     sos_certificate,
     sos_certificate_orthant,
 )
@@ -81,15 +79,3 @@ class TestVerify:
         assert _is_psd_exact([[F(1), F(-1)], [F(-1), F(1)]])
         assert not _is_psd_exact([[F(1), F(2)], [F(2), F(1)]])
         assert not _is_psd_exact([[F(0), F(1)], [F(1), F(0)]])
-
-
-class TestSdpStage:
-    def test_no_backend_gives_none(self, monkeypatch):
-        monkeypatch.setattr(sos, "_solve_sdp", lambda *a: None)
-        assert sdp_certificate(SQUARE, square=False) is None
-
-    def test_rounds_a_numerical_solution(self, monkeypatch):
-        noisy = np.array([[1.0, -1.0], [-1.0, 1.0]]) + 1e-10
-        monkeypatch.setattr(sos, "_solve_sdp", lambda *a: [noisy])
-        cert = sdp_certificate(SQUARE, square=False)
-        assert cert is not None and cert.verify(SQUARE)

@@ -1,7 +1,9 @@
 """The names the benchmark harness looks up on the package: every traced
 layer function and family generator exists, every workload check runs, and
 the tracer installs and restores its wrappers.  The benchmark modules are
-read from their files and left as they are."""
+read from their files and left as they are.  Also a lint the repository has
+no tool for: no library module imports a name it never uses."""
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import matroidwb as mw
 from matroidwb.constructions import uniform
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+LIBRARY = Path(mw.__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +78,27 @@ def test_tracer_records_spans_and_restores(bench):
         assert getattr(importlib.import_module(modname), name) is fn
     assert mw.hpp_verdict is originals[("matroidwb.analysis", "hpp_verdict")]
     assert mw.core.Matroid.__init__ is init
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement anywhere in the module that no
+    expression of the module reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_an_unread_name():
+    assert unused_imports("import os\nfrom sys import argv, path\nprint(path)") == ["argv", "os"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in LIBRARY.glob("*.py") if p.name != "__init__.py"))
+def test_library_module_has_no_unused_import(module):
+    assert unused_imports((LIBRARY / module).read_text()) == []
