@@ -129,15 +129,21 @@ def cmd_construct(args) -> int:
 # check
 
 
+PAIR_PROPS = ("negcorr", "rayleigh", "strong_rayleigh", "c_rayleigh")
+POLY_PROPS = ("rayleigh", "strong_rayleigh", "c_rayleigh")
+
+
 def cmd_check(args) -> int:
     M = _load_matroid(args.matroid)
+    prop = args.prop
     pair = tuple(_int_list(args.pair)) if args.pair else None
+    if pair is not None and prop not in PAIR_PROPS:
+        raise ValueError(f"--prop {prop} takes no --pair; only {', '.join(PAIR_PROPS)} take one")
     if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
                              or not all(1 <= e <= M.n for e in pair)):
         raise ValueError(f"--pair needs two distinct elements of 1..{M.n}, got {args.pair!r}")
-    f = basis_poly(M)
+    f = basis_poly(M) if prop in POLY_PROPS else None
     start = time.perf_counter()
-    prop = args.prop
     if prop == "negcorr":
         v = neg_corr(M, *pair) if pair else neg_corr_all_pairs(M)
     elif prop == "balanced":

@@ -65,6 +65,7 @@ class Matroid:
 
     The constructor checks the basis exchange axiom unless ``validate`` is
     false; :func:`from_bases` also checks the labels of the given sets.
+    Minors are built with ``validate=False``: a minor of a matroid is one.
     """
 
     __slots__ = (
@@ -292,23 +293,24 @@ def _squeeze(masks: Iterable[int], smask: int) -> set[int]:
 
 def _minor(M: Matroid, smask: int, pick) -> Matroid:
     """The bases B whose |B & smask| is the pick (min: deletion, max:
-    contraction) over all bases, with smask squeezed out."""
+    contraction) over all bases, with smask squeezed out; not re-validated."""
     sizes = [popcount(B & smask) for B in M.basis_masks]
     k = pick(sizes)
     masks = [B for B, size in zip(M.basis_masks, sizes) if size == k]
-    return Matroid(M.n - popcount(smask), _squeeze(masks, smask))
+    return Matroid(M.n - popcount(smask), _squeeze(masks, smask), validate=False)
 
 
 def delete(M: Matroid, S: Iterable[int]) -> Matroid:
     """Deletion M\\S: the bases meeting S least; new labels follow
-    :func:`relabel_map`."""
+    :func:`relabel_map`.  Not re-validated: the minor of an unvalidated
+    non-matroid can itself be invalid."""
     smask = mask_of(S)
     return _minor(M, smask, min) if smask else M
 
 
 def contract(M: Matroid, S: Iterable[int]) -> Matroid:
     """Contraction M/S: the bases meeting S most; new labels follow
-    :func:`relabel_map`."""
+    :func:`relabel_map`.  Not re-validated, as for :func:`delete`."""
     smask = mask_of(S)
     return _minor(M, smask, max) if smask else M
 
@@ -370,10 +372,9 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
 # isomorphism and minors
 
 
-def _profiles(n: int, masks: Iterable[int]):
+def _pair_degrees(n: int, masks: Iterable[int]) -> list[list[int]]:
     """The pair degrees d[e][f], the number of members holding both e and f
-    (d[e][e]: holding e), and each element's profile: its degree and its
-    sorted row."""
+    (d[e][e]: holding e), for elements 1..n (row and column 0 stay 0)."""
     d = [[0] * (n + 1) for _ in range(n + 1)]
     for A in masks:
         es = elements(A)
@@ -381,7 +382,7 @@ def _profiles(n: int, masks: Iterable[int]):
             row = d[e]
             for f in es:
                 row[f] += 1
-    return d, [(d[e][e], tuple(sorted(d[e]))) for e in range(n + 1)]
+    return d
 
 
 def family_fingerprint(n: int, masks: Iterable[int]) -> tuple:
@@ -411,8 +412,8 @@ def family_isomorphism(
     A, B = tuple(A), frozenset(B)
     if len(A) != len(B):
         return None
-    dA, prof_A = _profiles(n, A)
-    dB, prof_B = _profiles(n, B)
+    dA, dB = _pair_degrees(n, A), _pair_degrees(n, B)
+    prof_A, prof_B = ([(d[e][e], tuple(sorted(d[e]))) for e in range(n + 1)] for d in (dA, dB))
     if sorted(prof_A[1:]) != sorted(prof_B[1:]):
         return None
     freq: dict = {}

@@ -1,6 +1,8 @@
 """The `check` command at its boundary: a pair from the command line is
-validated before any check runs, and strong_rayleigh without a pair has an
-answer when no pair lies in a common basis."""
+validated before any check runs and refused by the checks that ignore it,
+the basis polynomial is built only for the checks that read it, and
+strong_rayleigh without a pair has an answer when no pair lies in a common
+basis."""
 import json
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from matroidwb.cli import main
 from matroidwb.constructions import uniform
 from matroidwb.io import format_matroid
+from matroidwb.poly import basis_poly
 
 PAIR_PROPS = ["negcorr", "rayleigh", "strong_rayleigh", "c_rayleigh"]
 
@@ -46,3 +49,28 @@ def test_strong_rayleigh_without_a_pair_in_a_common_basis(tmp_path, M, capsys):
 def test_valid_pair_runs_the_check(u13, capsys):
     assert main(["check", u13, "--prop", "negcorr", "--pair", "1,3"]) == 0
     assert json.loads(capsys.readouterr().out)["pair"] == [1, 3]
+
+
+@pytest.mark.parametrize("prop", ["hpp", "balanced", "positroid", "paving", "sparse_paving"])
+def test_pair_given_to_a_check_that_ignores_it_is_an_error(u13, prop, capsys):
+    assert main(["check", u13, "--prop", prop, "--pair", "1,2"]) == 4
+    err = capsys.readouterr().err
+    assert f"--prop {prop} takes no --pair" in err
+    assert all(p in err for p in PAIR_PROPS)
+
+
+@pytest.mark.parametrize("prop", ["negcorr", "balanced", "hpp", "positroid", "paving"])
+def test_checks_without_a_polynomial_do_not_build_one(u13, prop, monkeypatch, capsys):
+    def refuse(M):
+        raise AssertionError("basis_poly built")
+
+    monkeypatch.setattr("matroidwb.cli.basis_poly", refuse)
+    assert main(["check", u13, "--prop", prop]) == 0
+
+
+@pytest.mark.parametrize("prop", ["rayleigh", "strong_rayleigh", "c_rayleigh"])
+def test_polynomial_checks_build_the_basis_polynomial(u13, prop, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr("matroidwb.cli.basis_poly", lambda M: built.append(M) or basis_poly(M))
+    assert main(["check", u13, "--prop", prop]) == 0
+    assert len(built) == 1

@@ -1,6 +1,7 @@
 """The matroid kernel against the implementations it replaced: components
 from the fundamental graph against the circuit union-find and brute-force
-1-separations, bit-squeezed minors against relabel-map minors, the
+1-separations, bit-squeezed minors against relabel-map minors, minors
+built without re-validation against the same bases validated, the
 vectorised 2-separation scan against the scalar loop, and circuits, paving
 and sparse paving from the subset tables against the circuit loop."""
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matroidwb.analysis import _minor_reps
 from matroidwb.classifiers import (
     bicircular_family,
     is_paving,
@@ -221,6 +223,8 @@ def test_empty_minors_are_the_matroid():
     assert delete(M, []) == M and contract(M, []) == M and restriction(M, M.ground) == M
 
 
+EDGE_CASES = [uniform(0, 3), uniform(3, 3), uniform(0, 0), uniform(1, 1)]
+ATLAS = [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
 FIXTURES = [
     whirl(3), graphic(k4()), uniform(2, 5), uniform(0, 3), uniform(3, 3),
     direct_sum(uniform(1, 2), whirl(3)), direct_sum(uniform(2, 4), uniform(0, 1)),
@@ -240,6 +244,40 @@ def test_minors_of_random_fixtures_equal_the_reference(data):
     N = delete(M, S)
     later = [relabel_map(M.n, S)[e] for e in T]
     assert contract(N, later) == relabel_contract(relabel_delete(M, S), later)
+
+
+TRUSTED_MINOR_STREAMS = {
+    "sp6-3": lambda: sparse_paving_family(6, 3),
+    "lpm5": lambda: (M for _, M in lpm_family(5)),
+    "bc4": lambda: (M for _, M in bicircular_family(4)),
+    "atlas": lambda: ATLAS,
+}
+
+
+def _revalidated(N):
+    """N rebuilt with the basis exchange check; raises if N is no matroid."""
+    return Matroid(N.n, N.basis_masks)
+
+
+@pytest.mark.parametrize("name", TRUSTED_MINOR_STREAMS)
+def test_trusted_minors_pass_validation(name):
+    for M in TRUSTED_MINOR_STREAMS[name]():
+        for e in range(1, M.n + 1):
+            for N in (delete(M, [e]), contract(M, [e])):
+                assert _revalidated(N) == N
+        for N, _, _ in _minor_reps(M):
+            assert _revalidated(N) == N
+
+
+def test_minors_skip_the_exchange_check(monkeypatch):
+    M = graphic(k4())
+
+    def refuse(self):
+        raise AssertionError("minor re-validated")
+
+    monkeypatch.setattr(Matroid, "_check_exchange", refuse)
+    assert delete(M, [1]).r == 3 and contract(M, [1]).r == 2
+    assert restriction(M, [1, 2, 3]).n == 3
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +316,6 @@ def test_whirl_7_two_separation_quickly():
 
 # ---------------------------------------------------------------------------
 # circuits, paving and sparse paving
-
-
-EDGE_CASES = [uniform(0, 3), uniform(3, 3), uniform(0, 0), uniform(1, 1)]
-ATLAS = [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
 
 
 @pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums", "atlas", "edge"])

@@ -2,17 +2,27 @@
 the family isomorphism search and fingerprint against the subset-family
 search of the sparse-paving enumeration, forests from the component count
 against a forest union-find, the transversal rank and basis test from one
-augmenting-path routine against two matchers, and the c-Rayleigh difference
-from the Rayleigh one against the expanded formula."""
+augmenting-path routine against two matchers, the c-Rayleigh difference
+from the Rayleigh one against the expanded formula, and all-pairs negative
+correlation from one count of pair degrees against a neg_corr call per pair."""
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import xor
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from matroidwb.analysis import c_rayleigh_verdict, rayleigh_verdict
+from matroidwb import verdicts
+from matroidwb.analysis import (
+    _minor_reps,
+    c_rayleigh_verdict,
+    neg_corr,
+    neg_corr_all_pairs,
+    rayleigh_verdict,
+)
 from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
 from matroidwb.constructions import (
     MultiGraph,
@@ -21,11 +31,15 @@ from matroidwb.constructions import (
     bicircular,
     graphic,
     k4,
+    principal_extension,
     transversal,
     uniform,
 )
 from matroidwb.core import (
     Matroid,
+    contract,
+    delete,
+    direct_sum,
     elements,
     family_fingerprint,
     family_isomorphism,
@@ -34,7 +48,7 @@ from matroidwb.core import (
     popcount,
 )
 from matroidwb.poly import BoundedPoly, basis_poly, c_rayleigh_diff, pair_decomposition
-from matroidwb.verdicts import COEFF_NONNEG
+from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -178,6 +192,25 @@ def expanded_c_rayleigh_diff(f, i, j, c):
     base = (f_i * f_j).scale(c) - f_ij * f_0
     rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
     return base + rest.scale(Fraction(c) - 1)
+
+
+# binary S8: the identity and the columns 1111, 1101, 1011, 0111 over GF(2);
+# a 4-set is a basis when no nonempty subset of its columns sums to zero
+S8_COLUMNS = (0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1101, 0b1011, 0b0111)
+S8 = Matroid(8, [
+    mask_of(S) for S in combinations(range(1, 9), 4)
+    if all(reduce(xor, (S8_COLUMNS[e - 1] for e in T))
+           for k in range(1, 5) for T in combinations(S, k))
+])
+
+
+def per_pair_neg_corr_all_pairs(M):
+    """A neg_corr call per pair, lexicographically, up to the first Fails."""
+    for e, f in combinations(range(1, M.n + 1), 2):
+        v = neg_corr(M, e, f)
+        if not v.holds:
+            return v
+    return verdicts.holds(ALL_ONES_EXACT, property="negcorr_all_pairs")
 
 
 def permuted(masks, perm):
@@ -386,3 +419,45 @@ def test_c_rayleigh_at_one_is_rayleigh(pair):
         assert w.diagnostics["property"] == "c_rayleigh" and w.diagnostics["c"] == "1"
         rest = {k: x for k, x in w.diagnostics.items() if k not in ("property", "c")}
         assert v.diagnostics == {"property": "rayleigh", **rest}
+
+
+# ---------------------------------------------------------------------------
+# negative correlation of all pairs
+
+
+def test_neg_corr_all_pairs_matches_the_per_pair_loop_on_random_families():
+    """Random families of r-sets, matroids or not, and random minors of the
+    census families: the same outcome, pair and witness."""
+    rng = random.Random(23)
+    pool = [M for _, M in lpm_family(5)] + [M for _, M in bicircular_family(4)]
+    pool += list(sparse_paving_family(7, 3))
+    outcomes = {"Holds": 0, "Fails": 0}
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        r = rng.randint(1, n - 1)
+        M = Matroid(n, random_family(rng, n, r, rng.randint(1, 12)), validate=False)
+        v = neg_corr_all_pairs(M)
+        assert v == per_pair_neg_corr_all_pairs(M)
+        outcomes[v.outcome] += 1
+    for _ in range(300):
+        M = rng.choice(pool)
+        S = rng.sample(range(1, M.n + 1), rng.randint(0, M.n // 2))
+        M = (delete if rng.random() < 0.5 else contract)(M, S)
+        if rng.random() < 0.3:
+            M = direct_sum(M, rng.choice(pool))
+        v = neg_corr_all_pairs(M)
+        assert v == per_pair_neg_corr_all_pairs(M)
+        outcomes[v.outcome] += 1
+    assert min(outcomes.values()) > 50
+
+
+@pytest.mark.parametrize("M", [S8, principal_extension(S8, [1, 2])], ids=["S8", "S8+p12"])
+def test_neg_corr_all_pairs_matches_the_per_pair_loop_on_balance_fixtures(M):
+    """Every minor representative of the is_balanced Fails fixtures,
+    including the ones that fail."""
+    failing = 0
+    for minor, _, _ in _minor_reps(M):
+        v = neg_corr_all_pairs(minor)
+        assert v == per_pair_neg_corr_all_pairs(minor)
+        failing += v.fails
+    assert failing > 0

@@ -1,16 +1,19 @@
 """The names the benchmark harness looks up on the package: every traced
-layer function and family generator exists, every workload check runs, and
-the tracer installs and restores its wrappers.  The benchmark modules are
+layer function and family generator exists, every workload check runs, one
+seed-0 pass of each workload keeps its outcome table, and the tracer
+installs and restores its wrappers.  The benchmark modules are
 read from their files and left as they are.  Also a lint the repository has
 no tool for: no library module imports a name it never uses."""
 import ast
 import importlib.util
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
 import matroidwb as mw
+from matroidwb.census import _instance_seed
 from matroidwb.constructions import uniform
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
@@ -56,6 +59,41 @@ def test_every_workload_yields_instances(bench):
     for name, workload in workloads.WORKLOADS.items():
         group, inst_id, index, M, checks = next(iter(workload(mw)))
         assert index == 0 and set(checks) <= set(workloads.CHECKS), name
+
+
+# outcome counts per family:check of one seed-0 pass, as the harness's
+# outcome table reports them
+OUTCOME_TABLES = {
+    "census-hpp": {
+        "lpm6:hpp": {"Holds": 617, "Inconclusive": 7},
+        "lpm6:rayleigh": {"Holds": 624},
+        "sp7-3:hpp": {"Fails": 5, "Holds": 3, "Inconclusive": 6},
+        "sp7-3:rayleigh": {"Holds": 9, "Inconclusive": 5},
+    },
+    "census-structure": {
+        "bc5:balanced": {"Holds": 174},
+        "bc5:negcorr": {"Holds": 174},
+        "bc5:paving": {"Fails": 28, "Holds": 8, "Holds (sparse)": 138},
+        "bc5:positroid": {"Holds": 174},
+        "sp8-4:balanced": {"Holds": 6},
+        "sp8-4:negcorr": {"Holds": 6},
+        "sp8-4:paving": {"Holds (sparse)": 6},
+        "sp8-4:positroid": {"Fails": 1, "Holds": 5},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_TABLES))
+def test_one_seed_0_pass_keeps_the_outcome_table(bench, name):
+    """A speed-up must not change an outcome: one pass of the workload with
+    the harness's instance seeds gives the pinned counts."""
+    workloads = bench["workloads"]
+    table = defaultdict(Counter)
+    for group, _, index, M, checks in workloads.WORKLOADS[name](mw):
+        for check in checks:
+            result = workloads.CHECKS[check](mw, M, _instance_seed(0, index))
+            table[f"{group}:{check}"][workloads.outcome(check, result)] += 1
+    assert table == OUTCOME_TABLES[name]
 
 
 def test_tracer_records_spans_and_restores(bench):
