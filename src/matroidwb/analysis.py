@@ -368,11 +368,11 @@ def _rayleigh(f: BoundedPoly, c, pair, budget: int, seed: int, diag: dict) -> Ve
     diag names the property."""
     if any(cf < 0 for cf in f.terms.values()):
         raise ValueError("f must have nonnegative coefficients")
-    if pair is None:
-        return _all_pairs(f, lambda pair: _rayleigh(f, c, pair, budget, seed, diag), **diag)
-    i, j = pair
-    diff = rayleigh_diff(f, i, j) if c == 1 else c_rayleigh_diff(f, i, j, c)
-    return _verdict_for_diff(diff, POSITIVE_ORTHANT, budget, seed, diag={**diag, "pair": (i, j)})
+    def check(pair):
+        i, j = pair
+        diff = rayleigh_diff(f, i, j) if c == 1 else c_rayleigh_diff(f, i, j, c)
+        return _verdict_for_diff(diff, POSITIVE_ORTHANT, budget, seed, diag={**diag, "pair": (i, j)})
+    return _all_pairs(f, check, **diag) if pair is None else check(pair)
 
 
 def rayleigh_verdict(
@@ -439,17 +439,19 @@ def min_c_estimate(f: BoundedPoly, samples: int = 120, seed: int = 0) -> CEstima
     pairs = list(combinations(sorted(f.active_vars()), 2))
     if not pairs:
         return CEstimate(None, None, None)
+    mixed = {pair: pair_decomposition(f, *pair)[0] for pair in pairs}
+    partial = {i: f.derivative(i) for i in f.active_vars()}
     for _ in range(samples):
         point = tuple(
             Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(f.n)
         )
+        f_val = f.evaluate(point)
+        d_val = {i: d.evaluate(point) for i, d in partial.items()}
         for (i, j) in pairs:
-            f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-            den = f_ij.evaluate(point) * f.evaluate(point)
+            den = mixed[i, j].evaluate(point) * f_val
             if den <= 0:
                 continue
-            num = f.derivative(i).evaluate(point) * f.derivative(j).evaluate(point)
-            ratio = Fraction(num) / Fraction(den)
+            ratio = Fraction(d_val[i] * d_val[j]) / Fraction(den)
             if best is None or ratio < best:
                 best, arg_pair, arg_point = ratio, (i, j), point
     return CEstimate(best, arg_pair, arg_point)

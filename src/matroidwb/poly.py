@@ -34,7 +34,11 @@ def _norm(c: Rational) -> Rational:
 
 
 class BoundedPoly:
-    """Immutable sparse polynomial, per-variable degree <= 2, exact coefficients."""
+    """Immutable sparse polynomial, per-variable degree <= 2, exact coefficients.
+
+    The constructor validates and normalises each term; ``_trusted`` keeps
+    terms that are valid by construction (disjoint masks within the n
+    variables, nonzero coefficients, no Fraction of denominator 1) unchecked."""
 
     __slots__ = ("n", "terms")
 
@@ -54,6 +58,12 @@ class BoundedPoly:
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[TermKey, Rational]) -> "BoundedPoly":
+        p = object.__new__(cls)
+        p.n, p.terms = n, terms
+        return p
 
     @classmethod
     def zero(cls, n: int) -> "BoundedPoly":
@@ -81,11 +91,6 @@ class BoundedPoly:
         for (lin, sq) in self.terms:
             m |= lin | sq
         return set_of(m)
-
-    def coefficient(self, lin: Iterable[int] | int, sq: Iterable[int] | int = 0) -> Rational:
-        lmask = lin if isinstance(lin, int) else mask_of(lin)
-        smask = sq if isinstance(sq, int) else mask_of(sq)
-        return self.terms.get((lmask, smask), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,35 +193,48 @@ class BoundedPoly:
 
 
 def basis_poly(M: Matroid) -> BoundedPoly:
-    """The basis generating polynomial: one unit monomial per basis."""
-    return BoundedPoly(M.n, {(B, 0): 1 for B in M.basis_masks})
+    """The basis generating polynomial: one unit monomial per basis, built
+    trusted, since a Matroid's basis masks are distinct and within its n."""
+    return BoundedPoly._trusted(M.n, {(B, 0): 1 for B in M.basis_masks})
 
 
 def pair_decomposition(
     f: BoundedPoly, i: int, j: int
 ) -> tuple[BoundedPoly, BoundedPoly, BoundedPoly, BoundedPoly]:
-    """Write f = x_i x_j f_ij + x_i f_i + x_j f_j + f_0 (f multi-affine in i, j)."""
+    """Write f = x_i x_j f_ij + x_i f_i + x_j f_j + f_0 (f multi-affine in i, j).
+    Stripping x_i and x_j is one-to-one on each part's terms, so the parts
+    are built trusted."""
     bi, bj = 1 << (i - 1), 1 << (j - 1)
     parts: list[dict[TermKey, Rational]] = [{}, {}, {}, {}]
     for (lin, sq), c in f.terms.items():
         if sq & (bi | bj):
             raise ValueError("f must be multi-affine in the chosen pair")
-        which = (1 if lin & bi else 0) | (2 if lin & bj else 0)
-        key = (lin & ~(bi | bj), sq)
-        idx = {3: 0, 1: 1, 2: 2, 0: 3}[which]
-        parts[idx][key] = parts[idx].get(key, 0) + c
-    return tuple(BoundedPoly(f.n, p) for p in parts)  # type: ignore[return-value]
+        parts[2 * (not lin & bi) + (not lin & bj)][lin & ~(bi | bj), sq] = c
+    return tuple(BoundedPoly._trusted(f.n, p) for p in parts)  # type: ignore[return-value]
 
 
 def rayleigh_diff(f: BoundedPoly, i: int, j: int) -> BoundedPoly:
-    """d_i f * d_j f - d_i d_j f * f, for multi-affine f, via the reduced
-    identity f_i*f_j - f_ij*f_0; the result involves neither x_i nor x_j."""
-    if i == j:
-        raise ValueError("need two distinct variables")
+    """d_i f * d_j f - d_i d_j f * f, for multi-affine f and distinct i, j in
+    1..n, as f_i*f_j - f_ij*f_0 (see :func:`pair_decomposition`): one pass
+    splits f's terms, both products accumulate in one dict in that order, and
+    the result is built trusted once zeros are dropped and coefficients
+    normalised.  It involves neither x_i nor x_j."""
+    if not (1 <= i <= f.n and 1 <= j <= f.n) or i == j:
+        raise ValueError(f"need two distinct variables of 1..{f.n}, got {i} and {j}")
     if not f.is_multiaffine:
         raise ValueError("Rayleigh difference needs a multi-affine polynomial")
-    f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-    return f_i * f_j - f_ij * f_0
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    keep = ~(bi | bj)
+    f_ij, f_i, f_j, f_0 = parts = ([], [], [], [])
+    for (lin, _), c in f.terms.items():
+        parts[2 * (not lin & bi) + (not lin & bj)].append((lin & keep, c))
+    out: dict[TermKey, Rational] = {}
+    for sign, left, right in ((1, f_i, f_j), (-1, f_ij, f_0)):
+        for l1, c1 in left:
+            for l2, c2 in right:
+                key = (l1 ^ l2, l1 & l2)
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return BoundedPoly._trusted(f.n, {k: _norm(c) for k, c in out.items() if c != 0})
 
 
 def c_rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational) -> BoundedPoly:

@@ -1,8 +1,8 @@
-"""The `check` command at its boundary: a pair from the command line is
-validated before any check runs and refused by the checks that ignore it,
-the basis polynomial is built only for the checks that read it, and
-strong_rayleigh without a pair has an answer when no pair lies in a common
-basis."""
+"""The `check` and `poly` commands at their boundary: a pair from the
+command line is validated before any check runs and refused by the checks
+that ignore it, the basis polynomial is built only for the checks that read
+it, strong_rayleigh without a pair has an answer when no pair lies in a
+common basis, and `poly --rayleigh` refuses a pair outside the ground set."""
 import json
 
 import pytest
@@ -74,3 +74,22 @@ def test_polynomial_checks_build_the_basis_polynomial(u13, prop, monkeypatch, ca
     monkeypatch.setattr("matroidwb.cli.basis_poly", lambda M: built.append(M) or basis_poly(M))
     assert main(["check", u13, "--prop", prop]) == 0
     assert len(built) == 1
+
+
+@pytest.fixture
+def u24(tmp_path):
+    path = tmp_path / "u24.txt"
+    path.write_text(format_matroid(uniform(2, 4)))
+    return str(path)
+
+
+@pytest.mark.parametrize("pair", [("1", "9"), ("0", "1"), ("2", "2"), ("-1", "2")])
+def test_poly_rayleigh_pair_outside_the_ground_set_is_an_error(u24, pair, capsys):
+    assert main(["poly", u24, "--rayleigh", *pair]) == 4
+    captured = capsys.readouterr()
+    assert "two distinct variables of 1..4" in captured.err and captured.out == ""
+
+
+def test_poly_rayleigh_prints_the_difference(u24, capsys):
+    assert main(["poly", u24, "--rayleigh", "1", "2"]) == 0
+    assert capsys.readouterr().out == "1 : x3^2\n1 : x3 x4\n1 : x4^2\n"

@@ -99,6 +99,11 @@ class TestRayleighDiff:
         d = rayleigh_diff(basis_poly(uniform(2, 4)), 1, 2)
         assert d.terms == {(0, X3): 1, (X3 | X4, 0): 1, (0, X4): 1}
 
+    @pytest.mark.parametrize("pair", [(1, 9), (0, 1), (2, 2), (-1, 2), (5, 1)])
+    def test_pair_outside_the_variables_is_an_error(self, pair):
+        with pytest.raises(ValueError, match=r"two distinct variables of 1\.\.4"):
+            rayleigh_diff(basis_poly(uniform(2, 4)), *pair)
+
     def test_single_basis_zero(self):
         f = BoundedPoly(2, {(X1 | X2, 0): 1})
         assert rayleigh_diff(f, 1, 2).is_zero()

@@ -3,8 +3,11 @@ the family isomorphism search and fingerprint against the subset-family
 search of the sparse-paving enumeration, forests from the component count
 against a forest union-find, the transversal rank and basis test from one
 augmenting-path routine against two matchers, the c-Rayleigh difference
-from the Rayleigh one against the expanded formula, and all-pairs negative
-correlation from one count of pair degrees against a neg_corr call per pair."""
+from the Rayleigh one against the expanded formula, all-pairs negative
+correlation from one count of pair degrees against a neg_corr call per pair,
+the one-pass Rayleigh difference against BoundedPoly arithmetic over the
+pair decomposition, and the hoisted min_c_estimate against its per-pair
+loop."""
 import random
 from fractions import Fraction
 from functools import reduce
@@ -17,8 +20,10 @@ import pytest
 
 from matroidwb import verdicts
 from matroidwb.analysis import (
+    CEstimate,
     _minor_reps,
     c_rayleigh_verdict,
+    min_c_estimate,
     neg_corr,
     neg_corr_all_pairs,
     rayleigh_verdict,
@@ -31,6 +36,7 @@ from matroidwb.constructions import (
     bicircular,
     graphic,
     k4,
+    named_atlas,
     principal_extension,
     transversal,
     uniform,
@@ -47,7 +53,13 @@ from matroidwb.core import (
     mask_of,
     popcount,
 )
-from matroidwb.poly import BoundedPoly, basis_poly, c_rayleigh_diff, pair_decomposition
+from matroidwb.poly import (
+    BoundedPoly,
+    basis_poly,
+    c_rayleigh_diff,
+    pair_decomposition,
+    rayleigh_diff,
+)
 from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG
 
 # ---------------------------------------------------------------------------
@@ -192,6 +204,35 @@ def expanded_c_rayleigh_diff(f, i, j, c):
     base = (f_i * f_j).scale(c) - f_ij * f_0
     rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
     return base + rest.scale(Fraction(c) - 1)
+
+
+def reference_rayleigh_diff(f, i, j):
+    """f_i f_j - f_ij f_0 by BoundedPoly arithmetic over validated copies of
+    the four parts."""
+    f_ij, f_i, f_j, f_0 = (BoundedPoly(f.n, p.terms) for p in pair_decomposition(f, i, j))
+    return f_i * f_j - f_ij * f_0
+
+
+def per_pair_min_c_estimate(f, samples=120, seed=0):
+    """The sampled minimum with a pair decomposition and fresh evaluations of
+    f, d_i f and d_j f for every sample and pair."""
+    rng = random.Random(seed)
+    best = arg_pair = arg_point = None
+    pairs = list(combinations(sorted(f.active_vars()), 2))
+    if not pairs:
+        return CEstimate(None, None, None)
+    for _ in range(samples):
+        point = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(f.n))
+        for (i, j) in pairs:
+            f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
+            den = f_ij.evaluate(point) * f.evaluate(point)
+            if den <= 0:
+                continue
+            num = f.derivative(i).evaluate(point) * f.derivative(j).evaluate(point)
+            ratio = Fraction(num) / Fraction(den)
+            if best is None or ratio < best:
+                best, arg_pair, arg_point = ratio, (i, j), point
+    return CEstimate(best, arg_pair, arg_point)
 
 
 # binary S8: the identity and the columns 1111, 1101, 1011, 0111 over GF(2);
@@ -461,3 +502,161 @@ def test_neg_corr_all_pairs_matches_the_per_pair_loop_on_balance_fixtures(M):
         assert v == per_pair_neg_corr_all_pairs(minor)
         failing += v.fails
     assert failing > 0
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Rayleigh difference and the trusted construction
+
+ATLAS = ("BK33", "MK4", "TICTACTOE", "U24", "W3")
+
+
+def census_and_atlas():
+    yield from (M for _, M in lpm_family(5))
+    yield from sparse_paving_family(7, 3)
+    yield from (M for _, M in bicircular_family(4))
+    yield from (named_atlas(name) for name in ATLAS)
+
+
+def normalised(p):
+    """The validated constructor's form: no zero and no integral Fraction."""
+    return all(
+        c != 0 and not (isinstance(c, Fraction) and c.denominator == 1) for c in p.terms.values()
+    )
+
+
+def typed_terms(p):
+    return [(k, type(c), c) for k, c in p.terms.items()]
+
+
+def test_rayleigh_diff_matches_the_reference_term_for_term_on_basis_polynomials():
+    """Same terms in the same order, which _term_arrays hands to the float
+    search, with the same coefficient types."""
+    checked = 0
+    for M in census_and_atlas():
+        f = basis_poly(M)
+        assert typed_terms(f) == typed_terms(BoundedPoly(M.n, {(B, 0): 1 for B in M.basis_masks}))
+        for i, j in combinations(range(1, M.n + 1), 2):
+            assert typed_terms(rayleigh_diff(f, i, j)) == typed_terms(reference_rayleigh_diff(f, i, j))
+            checked += 1
+    assert checked > 2000
+
+
+RANDOM_COEFFS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+
+
+def random_multiaffine(rng, coeffs=RANDOM_COEFFS):
+    n = rng.randint(2, 5)
+    masks = rng.sample(range(1 << n), rng.randint(1, min(12, 1 << n)))
+    return BoundedPoly(n, {(m, 0): rng.choice(coeffs) for m in masks})
+
+
+def test_rayleigh_diff_matches_the_reference_on_random_polynomials_that_cancel():
+    """Equal to BoundedPoly arithmetic and to the derivative form, equal and
+    hashing alike to a validated copy, with terms cancelling both within one
+    product and across the two."""
+    rng = random.Random(29)
+    cases = cancelled = integral = 0
+    for _ in range(1000):
+        f = random_multiaffine(rng)
+        for i, j in combinations(range(1, f.n + 1), 2):
+            d = rayleigh_diff(f, i, j)
+            di, dj = f.derivative(i), f.derivative(j)
+            assert d == reference_rayleigh_diff(f, i, j) == di * dj - di.derivative(j) * f
+            assert normalised(d)
+            copy = BoundedPoly(f.n, d.terms)
+            assert d == copy and hash(d) == hash(copy)
+            f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
+            keys = {(l1 ^ l2, l1 & l2) for a, b in ((f_i, f_j), (f_ij, f_0))
+                    for (l1, _) in a.terms for (l2, _) in b.terms}
+            cases += 1
+            cancelled += len(d.terms) < len(keys)
+            integral += any(type(c) is int for c in d.terms.values()) and any(
+                isinstance(c, Fraction) for c in f.terms.values())
+    assert cases > 4000 and cancelled > 200 and integral > 1000
+
+
+def test_rayleigh_diff_keeps_the_reference_order_when_no_product_cancels():
+    """With positive coefficients no term cancels inside a product, and the
+    new terms of f_ij*f_0 follow f_i*f_j in the reference's order, which the
+    basis polynomials alone do not show: there every term of f_ij*f_0 is
+    already a term of f_i*f_j."""
+    rng = random.Random(37)
+    new_terms = 0
+    for _ in range(400):
+        f = random_multiaffine(rng, (1, 2, Fraction(1, 2), Fraction(3, 2)))
+        for i, j in combinations(range(1, f.n + 1), 2):
+            d, ref = rayleigh_diff(f, i, j), reference_rayleigh_diff(f, i, j)
+            assert typed_terms(d) == typed_terms(ref)
+            f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
+            new_terms += len(set(ref.terms) - set((f_i * f_j).terms)) > 1
+    assert new_terms > 300
+
+
+def test_pair_decomposition_parts_are_valid_and_reassemble():
+    rng = random.Random(31)
+    for _ in range(300):
+        f = random_multiaffine(rng)
+        i, j = rng.sample(range(1, f.n + 1), 2)
+        parts = pair_decomposition(f, i, j)
+        for p in parts:
+            assert normalised(p) and typed_terms(p) == typed_terms(BoundedPoly(f.n, p.terms))
+        xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
+        f_ij, f_i, f_j, f_0 = parts
+        assert xi * xj * f_ij + xi * f_i + xj * f_j + f_0 == f
+
+
+@pytest.mark.parametrize("name", ATLAS)
+def test_min_c_estimate_matches_the_per_pair_loop_on_the_atlas(name):
+    f = basis_poly(named_atlas(name))
+    samples = 30 if f.n <= 6 else 4
+    assert min_c_estimate(f, samples) == per_pair_min_c_estimate(f, samples)
+
+
+def test_min_c_estimate_matches_the_per_pair_loop_on_lpm5():
+    for k, (_, M) in enumerate(lpm_family(5)):
+        f = basis_poly(M)
+        assert min_c_estimate(f, 6, seed=k) == per_pair_min_c_estimate(f, 6, seed=k)
+
+
+class CountingTerms(dict):
+    """A terms dict that counts the scans of its coefficients."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+@pytest.mark.parametrize("c", [1, Fraction(8, 7)])
+def test_all_pairs_rayleigh_checks_the_coefficients_once(c):
+    f = basis_poly(uniform(2, 4))
+    f.terms = CountingTerms(f.terms)
+    v = c_rayleigh_verdict(f, c) if c != 1 else rayleigh_verdict(f)
+    assert v.holds and len(v.certificate.data) == 6 and f.terms.scans == 1
+
+
+# (rayleigh, c_rayleigh at 8/7) of the all-pairs checks: outcome, certificate
+# kind and the pair that did not hold
+ALL_PAIRS_ATLAS = {
+    "BK33": ("Holds", COEFF_NONNEG, None),
+    "MK4": ("Inconclusive", None, (1, 5)),
+    "TICTACTOE": ("Holds", COEFF_NONNEG, None),
+    "U24": ("Holds", COEFF_NONNEG, None),
+    "W3": ("Inconclusive", None, (1, 6)),
+}
+
+
+@pytest.mark.parametrize("name", ATLAS)
+def test_all_pairs_rayleigh_outcomes_on_the_atlas(name):
+    f = basis_poly(named_atlas(name))
+    for v in (rayleigh_verdict(f), c_rayleigh_verdict(f, Fraction(8, 7))):
+        kind = v.certificate and v.certificate.kind
+        assert (v.outcome, kind, v.diagnostics["pair"]) == ALL_PAIRS_ATLAS[name]
+
+
+def test_all_pairs_rayleigh_outcomes_on_lpm5():
+    for _, M in lpm_family(5):
+        f = basis_poly(M)
+        for v in (rayleigh_verdict(f), c_rayleigh_verdict(f, Fraction(8, 7))):
+            assert v.holds and v.certificate.kind == COEFF_NONNEG
