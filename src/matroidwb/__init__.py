@@ -1,8 +1,9 @@
 """matroidwb: exact matroid computations and negative-dependence checks.
 
 Core objects: Matroid (bases as bit-sets), BoundedPoly (exact rational
-polynomials, per-variable degree <= 2), Verdict (Holds / Fails / Inconclusive
-with certificates and exactly-verified witnesses).
+polynomials, per-variable degree <= 2: basis polynomials and their Rayleigh
+differences), Verdict (Holds / Fails / Inconclusive with certificates and
+exactly-verified witnesses).
 """
 
 from .core import (
@@ -16,7 +17,6 @@ from .core import (
     direct_sum,
     dual,
     from_bases,
-    has_minor,
     is_connected,
     is_isomorphic,
     isomorphism,
@@ -46,18 +46,8 @@ from .constructions import (
 )
 from .poly import (
     BoundedPoly,
-    EdgeWeights,
-    Measure,
     basis_poly,
-    c_weights,
-    complementary_matching_poly,
-    determinantal_rep_graphic,
-    generating_poly,
-    matching_poly,
-    measure_from_poly,
-    nlc_check,
     rayleigh_diff,
-    restricted_matching_poly,
 )
 from .analysis import (
     c_rayleigh_verdict,

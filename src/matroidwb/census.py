@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -66,7 +66,27 @@ KNOWN_CHECKS = (
     "hpp",
     "positroid",
     "paving",
+    "c_rayleigh",
 )
+
+
+def _parse_check(check: str) -> tuple[str, Fraction | None]:
+    """A census check as (name, c).  Only c_rayleigh takes an argument,
+    `c_rayleigh:c` with c a positive rational (8/7 when omitted)."""
+    base, sep, arg = check.partition(":")
+    if base not in KNOWN_CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    if base != "c_rayleigh":
+        if sep:
+            raise ValueError(f"check {base!r} takes no argument, got {check!r}")
+        return base, None
+    try:
+        c = Fraction(arg or "8/7")
+    except (ValueError, ZeroDivisionError):
+        c = None
+    if c is None or c <= 0:
+        raise ValueError(f"c_rayleigh needs a positive rational c, got {check!r}")
+    return base, c
 
 
 @dataclass
@@ -80,16 +100,14 @@ class CensusJob:
     out_csv: str = "census.csv"
     witness_dir: str = "witnesses"
     limit: int = 1000
+    parsed_checks: list[tuple[str, Fraction | None]] = field(init=False)
 
     def __post_init__(self):
         if not self.checks:
             raise ValueError("a census needs at least one check")
         if self.budget <= 0 or self.limit <= 0:
             raise ValueError("budgets must be positive")
-        for c in self.checks:
-            base = c.split(":", 1)[0]
-            if base not in KNOWN_CHECKS and base != "c_rayleigh":
-                raise ValueError(f"unknown check {c!r}")
+        self.parsed_checks = [_parse_check(c) for c in self.checks]
 
 
 def _instances(job: CensusJob) -> Iterator[tuple[str, str, Matroid]]:
@@ -134,8 +152,7 @@ def _run_instance(payload) -> dict:
     )
     witnesses = []
     start = time.perf_counter()
-    for check in checks:
-        base, _, arg = check.partition(":")
+    for base, c in checks:
         if base == "paving":
             row["paving"] = str(is_paving(M)).lower()
             row["sparse_paving"] = str(is_sparse_paving(M)).lower()
@@ -160,7 +177,6 @@ def _run_instance(payload) -> dict:
             if base == "rayleigh":
                 v = rayleigh_verdict(basis_poly(M), pair, budget=budget, seed=seed)
             else:
-                c = Fraction(arg or "8/7")
                 v = c_rayleigh_verdict(basis_poly(M), c, pair, budget=budget, seed=seed)
             row[f"{base}_outcome"] = v.outcome
             if v.fails:
@@ -196,7 +212,7 @@ def run_census(job: CensusJob) -> list[dict]:
             continue
         payloads.append(
             (
-                inst_id, params, M.n, M.basis_masks, tuple(job.checks),
+                inst_id, params, M.n, M.basis_masks, tuple(job.parsed_checks),
                 job.budget, _instance_seed(job.seed, index), job.family,
             )
         )

@@ -381,6 +381,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     """`--config file` holds key=value defaults; explicit flags override."""
     if "--config" in argv:
         idx = argv.index("--config")
+        if idx + 1 == len(argv):
+            raise ValueError("--config needs a file")
         path = argv[idx + 1]
         argv = argv[:idx] + argv[idx + 2 :]
         conf = {}

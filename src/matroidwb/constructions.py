@@ -48,9 +48,6 @@ class MultiGraph:
     def e(self) -> int:
         return len(self.edges)
 
-    def has_loop(self) -> bool:
-        return any(a == b for a, b in self.edges)
-
     def incident(self, vertex: int) -> frozenset[int]:
         return frozenset(
             i + 1 for i, (a, b) in enumerate(self.edges) if vertex in (a, b)

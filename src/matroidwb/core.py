@@ -369,7 +369,7 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism and minors
+# isomorphism
 
 
 def _pair_degrees(n: int, masks: Iterable[int]) -> list[list[int]]:
@@ -461,31 +461,6 @@ def isomorphism(M: Matroid, N: Matroid) -> Optional[dict[int, int]]:
 
 def is_isomorphic(M: Matroid, N: Matroid) -> bool:
     return isomorphism(M, N) is not None
-
-
-def has_minor(M: Matroid, N: Matroid) -> bool:
-    """Whether some deletion/contraction sequence of M yields a copy of N."""
-    if N.n > M.n or N.r > M.r or (N.n - N.r) > (M.n - M.r):
-        return False
-    k_contract = M.r - N.r
-    k_delete = M.n - k_contract - N.n
-    seen: set[tuple] = set()
-    elems = list(range(1, M.n + 1))
-    for I in combinations(elems, k_contract):
-        if not M.is_independent(I):
-            continue
-        M1 = contract(M, I) if I else M
-        for D in combinations(range(1, M1.n + 1), k_delete):
-            M2 = delete(M1, D) if D else M1
-            if M2.r != N.r:
-                continue
-            key = (M2.n, M2.basis_masks)
-            if key in seen:
-                continue
-            seen.add(key)
-            if is_isomorphic(M2, N):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,6 @@ class DegreeOverflow(MatroidError):
     pass
 
 
-class NotAProbabilityPolynomial(MatroidError):
-    pass
-
-
-class LoopPresent(MatroidError):
-    pass
-
-
-class NotBipartite(MatroidError):
-    pass
-
-
 class WitnessNotVerified(MatroidError):
     """A witness failed exact re-verification after it was lifted."""
 

@@ -25,6 +25,13 @@ def _data_lines(text: str):
             yield lineno, line
 
 
+def _ints(lineno: int, toks: list[str]) -> list[int]:
+    try:
+        return [int(tok) for tok in toks]
+    except ValueError:
+        raise ParseError(lineno, f"expected integers, got {' '.join(toks)!r}") from None
+
+
 # -- matroid: `matroid <n> <r>` then one basis per line ----------------------
 
 
@@ -44,16 +51,10 @@ def parse_matroid(text: str) -> Matroid:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "matroid":
         raise ParseError(lineno, "expected header `matroid <n> <r>`")
-    try:
-        n, r = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(lineno, "n and r must be integers") from None
+    n, r = _ints(lineno, parts[1:])
     bases = []
     for lineno, line in lines[1:]:
-        try:
-            basis = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError(lineno, f"bad basis line {line!r}") from None
+        basis = _ints(lineno, line.split())
         if len(basis) != r:
             raise ParseError(lineno, f"basis has {len(basis)} elements, expected {r}")
         bases.append(basis)
@@ -77,7 +78,7 @@ def parse_graph(text: str) -> MultiGraph:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "graph":
         raise ParseError(lineno, "expected header `graph <v> <e>`")
-    v, e = int(parts[1]), int(parts[2])
+    v, e = _ints(lineno, parts[1:])
     if len(lines) - 1 != e:
         raise ParseError(lineno, f"expected {e} edge lines, found {len(lines) - 1}")
     edges = []
@@ -85,7 +86,7 @@ def parse_graph(text: str) -> MultiGraph:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(lineno, f"bad edge line {line!r}")
-        edges.append((int(toks[0]), int(toks[1])))
+        edges.append(tuple(_ints(lineno, toks)))
     return MultiGraph(v=v, edges=tuple(edges))
 
 
@@ -114,12 +115,12 @@ def parse_setsystem(text: str) -> SetSystem:
     parts = header.split()
     if len(parts) != 3 or parts[0] != "sys":
         raise ParseError(lineno, "expected header `sys <n> <k>`")
-    n, k = int(parts[1]), int(parts[2])
+    n, k = _ints(lineno, parts[1:])
     if len(lines) - 1 != k:
         raise ParseError(lineno, f"expected {k} set lines, found {len(lines) - 1}")
     family = []
     for lineno, line in lines[1:]:
-        family.append(frozenset(int(tok) for tok in line.split()))
+        family.append(frozenset(_ints(lineno, line.split())))
     return SetSystem(n=n, family=tuple(family))
 
 

@@ -2,25 +2,16 @@
 
 A term's exponent vector is a pair of bit-sets (linear part, squared part);
 coefficients are exact rationals (python ints or Fractions).  This is enough
-to hold basis-generating polynomials, matching polynomials, and products of
-two multi-affine polynomials such as Rayleigh differences.
+to hold basis generating polynomials and products of two multi-affine
+polynomials such as their Rayleigh and c-Rayleigh differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .core import Matroid, elements, mask_of, set_of
-from .constructions import MultiGraph, _graph_components
-from .errors import (
-    DegreeOverflow,
-    LoopPresent,
-    NotAProbabilityPolynomial,
-    NotBipartite,
-)
-from . import verdicts
-from .verdicts import Verdict, Witness
+from .core import Matroid, elements, set_of
+from .errors import DegreeOverflow
 
 Rational = int | Fraction
 
@@ -171,22 +162,6 @@ class BoundedPoly:
             total += v
         return _norm(total)
 
-    def assign(self, values: Mapping[int, Rational]) -> "BoundedPoly":
-        """Substitute exact values for some variables."""
-        vmask = mask_of(values.keys())
-        out: dict[TermKey, Rational] = {}
-        for (lin, sq), c in self.terms.items():
-            v = c
-            for e in elements(lin & vmask):
-                v *= values[e]
-            for e in elements(sq & vmask):
-                v *= values[e] * values[e]
-            if v == 0:
-                continue
-            key = (lin & ~vmask, sq & ~vmask)
-            out[key] = out.get(key, 0) + v
-        return BoundedPoly(self.n, out)
-
 
 # ---------------------------------------------------------------------------
 # module-level operation names
@@ -198,12 +173,18 @@ def basis_poly(M: Matroid) -> BoundedPoly:
     return BoundedPoly._trusted(M.n, {(B, 0): 1 for B in M.basis_masks})
 
 
+def _check_pair(f: BoundedPoly, i: int, j: int) -> None:
+    if not (1 <= i <= f.n and 1 <= j <= f.n) or i == j:
+        raise ValueError(f"need two distinct variables of 1..{f.n}, got {i} and {j}")
+
+
 def pair_decomposition(
     f: BoundedPoly, i: int, j: int
 ) -> tuple[BoundedPoly, BoundedPoly, BoundedPoly, BoundedPoly]:
     """Write f = x_i x_j f_ij + x_i f_i + x_j f_j + f_0 (f multi-affine in i, j).
     Stripping x_i and x_j is one-to-one on each part's terms, so the parts
     are built trusted."""
+    _check_pair(f, i, j)
     bi, bj = 1 << (i - 1), 1 << (j - 1)
     parts: list[dict[TermKey, Rational]] = [{}, {}, {}, {}]
     for (lin, sq), c in f.terms.items():
@@ -219,8 +200,7 @@ def rayleigh_diff(f: BoundedPoly, i: int, j: int) -> BoundedPoly:
     splits f's terms, both products accumulate in one dict in that order, and
     the result is built trusted once zeros are dropped and coefficients
     normalised.  It involves neither x_i nor x_j."""
-    if not (1 <= i <= f.n and 1 <= j <= f.n) or i == j:
-        raise ValueError(f"need two distinct variables of 1..{f.n}, got {i} and {j}")
+    _check_pair(f, i, j)
     if not f.is_multiaffine:
         raise ValueError("Rayleigh difference needs a multi-affine polynomial")
     bi, bj = 1 << (i - 1), 1 << (j - 1)
@@ -249,226 +229,3 @@ def c_rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational) -> BoundedPoly:
     diff = rayleigh_diff(f, i, j)
     f_ij = pair_decomposition(f, i, j)[0]
     return diff.scale(c) + (f_ij * f).scale(c - 1)
-
-
-# ---------------------------------------------------------------------------
-# measures
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Probability measure on subsets of [n]; weights are exact nonnegative
-    rationals summing to one, keyed by subset bit-mask."""
-
-    n: int
-    weights: dict[int, Fraction]
-
-    def __post_init__(self):
-        total = Fraction(0)
-        full = (1 << self.n) - 1
-        for mask, w in self.weights.items():
-            if mask & ~full:
-                raise ValueError("weight on a subset outside the ground set")
-            if w < 0:
-                raise ValueError("negative weight")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
-
-    def weight(self, mask: int) -> Fraction:
-        return self.weights.get(mask, Fraction(0))
-
-    @classmethod
-    def uniform_on_bases(cls, M: Matroid) -> "Measure":
-        w = Fraction(1, len(M.basis_masks))
-        return cls(M.n, {B: w for B in M.basis_masks})
-
-
-def generating_poly(mu: Measure) -> BoundedPoly:
-    return BoundedPoly(mu.n, {(mask, 0): w for mask, w in mu.weights.items()})
-
-
-def measure_from_poly(f: BoundedPoly) -> Measure:
-    if not f.is_multiaffine:
-        raise NotAProbabilityPolynomial("not multi-affine")
-    weights: dict[int, Fraction] = {}
-    total = Fraction(0)
-    for (lin, _), c in f.terms.items():
-        if c < 0:
-            raise NotAProbabilityPolynomial("negative coefficient")
-        weights[lin] = Fraction(c)
-        total += c
-    if total != 1:
-        raise NotAProbabilityPolynomial(f"f(1) = {total} != 1")
-    return Measure(f.n, weights)
-
-
-def nlc_check(mu: Measure) -> Verdict:
-    """Negative lattice condition: mu(S)mu(T) >= mu(SuT)mu(SnT) for all S, T.
-
-    A violation needs both the union and the intersection in the support, so
-    only support pairs are scanned.
-    """
-    if mu.n > 12:
-        raise ValueError("NLC scan capped at n = 12")
-    support = sorted(m for m, w in mu.weights.items() if w > 0)
-    wt = mu.weights
-    for U in support:
-        for I in support:
-            if I & ~U:
-                continue
-            diff = U & ~I
-            # S = I u X, T = I u (diff \ X) over halvings X of the difference
-            X = diff
-            while True:
-                S = I | X
-                T = I | (diff ^ X)
-                lhs = wt.get(S, Fraction(0)) * wt.get(T, Fraction(0))
-                rhs = wt[U] * wt[I]
-                if lhs < rhs:
-                    return verdicts.fails(
-                        Witness(
-                            value=lhs - rhs,
-                            extra={"S": sorted(set_of(S)), "T": sorted(set_of(T))},
-                        ),
-                        property="nlc",
-                    )
-                if X == 0:
-                    break
-                X = (X - 1) & diff
-    return verdicts.holds(verdicts.ALL_ONES_EXACT, property="nlc")
-
-
-# ---------------------------------------------------------------------------
-# matching polynomials
-
-
-@dataclass(frozen=True)
-class EdgeWeights:
-    """Nonnegative rational weight per edge index."""
-
-    weights: dict[int, Rational]
-
-    def __post_init__(self):
-        for e, w in self.weights.items():
-            if w < 0:
-                raise ValueError(f"negative weight on edge {e}")
-
-    def __getitem__(self, e: int) -> Rational:
-        return self.weights.get(e, 1)
-
-    @classmethod
-    def ones(cls) -> "EdgeWeights":
-        return cls({})
-
-
-def _all_matchings(G: MultiGraph):
-    """Yield (edge-id tuple, matched-vertex mask) for every matching of G."""
-    edges = G.edges
-
-    def rec(idx: int, used: int, chosen: tuple[int, ...]):
-        if idx == len(edges):
-            yield chosen, used
-            return
-        a, b = edges[idx]
-        yield from rec(idx + 1, used, chosen)
-        abit, bbit = 1 << (a - 1), 1 << (b - 1)
-        if not (used & (abit | bbit)):
-            yield from rec(idx + 1, used | abit | bbit, chosen + (idx + 1,))
-
-    yield from rec(0, 0, ())
-
-
-def _weight_product(chosen: Iterable[int], lam: EdgeWeights) -> Rational:
-    w: Rational = 1
-    for e in chosen:
-        w *= lam[e]
-    return w
-
-
-def matching_poly(G: MultiGraph, lam: Optional[EdgeWeights] = None) -> BoundedPoly:
-    """Sum over matchings of prod lambda_e x_i x_j; variables are vertices."""
-    if G.has_loop():
-        raise LoopPresent("matching polynomials need a loopless graph")
-    lam = lam or EdgeWeights.ones()
-    terms: dict[TermKey, Rational] = {}
-    for chosen, used in _all_matchings(G):
-        key = (used, 0)
-        terms[key] = terms.get(key, 0) + _weight_product(chosen, lam)
-    return BoundedPoly(G.v, terms)
-
-
-def complementary_matching_poly(
-    G: MultiGraph, lam: Optional[EdgeWeights] = None
-) -> BoundedPoly:
-    """x^V M_G(1/x; lambda): each matching contributes x^(unmatched vertices)."""
-    if G.has_loop():
-        raise LoopPresent("matching polynomials need a loopless graph")
-    lam = lam or EdgeWeights.ones()
-    full = (1 << G.v) - 1
-    terms: dict[TermKey, Rational] = {}
-    for chosen, used in _all_matchings(G):
-        key = (full ^ used, 0)
-        terms[key] = terms.get(key, 0) + _weight_product(chosen, lam)
-    return BoundedPoly(G.v, terms)
-
-
-def _check_bipartition(G: MultiGraph, A: Iterable[int]) -> int:
-    amask = mask_of(A)
-    for (a, b) in G.edges:
-        ina = bool(amask & (1 << (a - 1)))
-        inb = bool(amask & (1 << (b - 1)))
-        if ina == inb:
-            raise NotBipartite(f"edge ({a},{b}) does not cross the bipartition")
-    return amask
-
-
-def restricted_matching_poly(
-    G: MultiGraph, A: Iterable[int], lam: Optional[EdgeWeights] = None
-) -> BoundedPoly:
-    """M_G with the non-A vertex variables set to one."""
-    amask = _check_bipartition(G, A)
-    f = matching_poly(G, lam)
-    others = set_of(((1 << G.v) - 1) ^ amask)
-    return f.assign({v: 1 for v in others})
-
-
-def c_weights(
-    G: MultiGraph, A: Iterable[int], lam: Optional[EdgeWeights] = None
-) -> dict[int, Rational]:
-    """c(S; lambda): summed matching weights grouped by the matched A-subset S.
-
-    Keys are bit-masks over the vertex space; the support is exactly the set
-    of independent sets of the transversal matroid of (G, A).
-    """
-    amask = _check_bipartition(G, A)
-    lam = lam or EdgeWeights.ones()
-    out: dict[int, Rational] = {}
-    for chosen, used in _all_matchings(G):
-        S = used & amask
-        out[S] = out.get(S, 0) + _weight_product(chosen, lam)
-    return {S: _norm(w) for S, w in out.items() if w != 0}
-
-
-# ---------------------------------------------------------------------------
-# determinantal representation for graphic matroids
-
-
-def determinantal_rep_graphic(G: MultiGraph) -> list[list[int]]:
-    """Signed incidence columns, one per edge, with one vertex row removed per
-    connected component.  By Cauchy-Binet, det(sum_e x_e a_e a_e^T) equals the
-    spanning-forest generating polynomial of G."""
-    if G.has_loop():
-        raise LoopPresent("determinantal representation needs a loopless graph")
-    dropped = {max(verts) for verts, _ in _graph_components(G, range(1, G.e + 1))}
-    rows = [v for v in range(1, G.v + 1) if v not in dropped]
-    row_index = {v: i for i, v in enumerate(rows)}
-    vecs = []
-    for (a, b) in G.edges:
-        col = [0] * len(rows)
-        if a in row_index:
-            col[row_index[a]] += 1
-        if b in row_index:
-            col[row_index[b]] -= 1
-        vecs.append(col)
-    return vecs

@@ -1,5 +1,6 @@
-"""Census orchestration: the CSV does not depend on the worker count, and
-each check writes its own outcome column."""
+"""Census orchestration: the CSV does not depend on the worker count, each
+check writes its own outcome column, and a bad check is refused when the job
+is made."""
 from collections import Counter
 
 import pytest
@@ -41,3 +42,23 @@ def test_c_rayleigh_holds_without_a_pair_in_a_common_basis(tmp_path):
         out_csv=str(tmp_path / "lpm.csv"), witness_dir=str(tmp_path / "wit"),
     )
     assert [row["c_rayleigh_outcome"] for row in run_census(job)] == ["Holds", "Holds"]
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        ("rayleigh:5", "check 'rayleigh' takes no argument"),
+        ("hpp:1", "check 'hpp' takes no argument"),
+        ("c_rayleigh:0", "c_rayleigh needs a positive rational c"),
+        ("c_rayleigh:-1/2", "c_rayleigh needs a positive rational c"),
+        ("c_rayleigh:abc", "c_rayleigh needs a positive rational c"),
+        ("c_rayleigh:1/0", "c_rayleigh needs a positive rational c"),
+        ("nlc", "unknown check 'nlc'"),
+    ],
+)
+def test_bad_check_is_refused_before_any_instance_runs(tmp_path, check, message):
+    with pytest.raises(ValueError, match=message):
+        CensusJob(
+            family="lpm", params={"max_total": 1}, checks=["negcorr", check],
+            out_csv=str(tmp_path / "lpm.csv"), witness_dir=str(tmp_path / "wit"),
+        )

@@ -2,7 +2,8 @@
 command line is validated before any check runs and refused by the checks
 that ignore it, the basis polynomial is built only for the checks that read
 it, strong_rayleigh without a pair has an answer when no pair lies in a
-common basis, and `poly --rayleigh` refuses a pair outside the ground set."""
+common basis, `poly --rayleigh` refuses a pair outside the ground set, and
+`--config` without a file is an error."""
 import json
 
 import pytest
@@ -93,3 +94,9 @@ def test_poly_rayleigh_pair_outside_the_ground_set_is_an_error(u24, pair, capsys
 def test_poly_rayleigh_prints_the_difference(u24, capsys):
     assert main(["poly", u24, "--rayleigh", "1", "2"]) == 0
     assert capsys.readouterr().out == "1 : x3^2\n1 : x3 x4\n1 : x4^2\n"
+
+
+def test_config_without_a_file_is_an_error(u24, capsys):
+    assert main(["check", u24, "--prop", "hpp", "--config"]) == 4
+    captured = capsys.readouterr()
+    assert "--config needs a file" in captured.err and captured.out == ""

@@ -8,7 +8,6 @@ import pytest
 from matroidwb.core import (
     delete,
     dual,
-    is_connected,
     is_isomorphic,
     mask_of,
     rank_of,

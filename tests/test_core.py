@@ -13,7 +13,6 @@ from matroidwb.core import (
     direct_sum,
     dual,
     from_bases,
-    has_minor,
     is_connected,
     is_isomorphic,
     isomorphism,
@@ -298,26 +297,6 @@ class TestIsomorphism:
                 mask_of(phi[e] for e in set_of(B)) for B in M.basis_masks
             }
             assert mapped == set(relabeled.basis_masks)
-
-
-class TestHasMinor:
-    def test_reflexive(self):
-        M = whirl(3)
-        assert has_minor(M, M)
-
-    def test_u23_in_u24(self):
-        assert has_minor(uniform(2, 4), uniform(2, 3))
-
-    def test_k4_binary(self):
-        assert not has_minor(graphic(k4()), uniform(2, 4))
-
-    def test_whirl_has_u24(self):
-        assert has_minor(whirl(3), uniform(2, 4))
-
-    def test_transitive_sample(self):
-        A, B, C = whirl(3), uniform(2, 4), uniform(2, 3)
-        assert has_minor(A, B) and has_minor(B, C)
-        assert has_minor(A, C)
 
 
 class TestConnectivity:

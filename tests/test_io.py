@@ -1,10 +1,11 @@
-"""Text formats: matroid files round-trip, rank 0 included."""
+"""Text formats: matroid files round-trip, rank 0 included, and a token that
+is not an integer is a parse error that names its line."""
 import pytest
 
 from matroidwb.constructions import named_atlas, uniform
 from matroidwb.core import from_bases
 from matroidwb.errors import EmptyBases
-from matroidwb.io import ParseError, format_matroid, parse_matroid
+from matroidwb.io import ParseError, format_matroid, parse_graph, parse_matroid, parse_setsystem
 
 
 @pytest.mark.parametrize(
@@ -39,3 +40,29 @@ def test_rank_zero_file_goes_through_check(tmp_path, n):
     path = tmp_path / "loops.txt"
     path.write_text(format_matroid(uniform(0, n)))
     assert main(["check", str(path), "--prop", "positroid"]) == 0
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        (parse_graph, "graph 2 x\n1 2\n", 1),
+        (parse_graph, "# a path\ngraph 3 2\n1 2\n1 two\n", 4),
+        (parse_setsystem, "sys 3 y\n1 2\n", 1),
+        (parse_setsystem, "sys 3 2\n1 2\n2 a\n", 3),
+        (parse_matroid, "matroid 2 r\n1\n", 1),
+        (parse_matroid, "matroid 2 1\n1\nb\n", 3),
+    ],
+)
+def test_non_integer_token_names_its_line(parse, text, lineno):
+    with pytest.raises(ParseError, match=f"^line {lineno}: expected integers") as info:
+        parse(text)
+    assert info.value.lineno == lineno
+
+
+def test_construct_reports_the_bad_edge_line(tmp_path, capsys):
+    from matroidwb.cli import main
+
+    path = tmp_path / "g.txt"
+    path.write_text("graph 2 2\n1 2\n1 two\n")
+    assert main(["construct", "graphic", "--in", str(path)]) == 4
+    assert "line 3: expected integers, got '1 two'" in capsys.readouterr().err

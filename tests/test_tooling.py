@@ -2,8 +2,10 @@
 layer function and family generator exists, every workload check runs, one
 seed-0 pass of each workload keeps its outcome table, and the tracer
 installs and restores its wrappers.  The benchmark modules are
-read from their files and left as they are.  Also a lint the repository has
-no tool for: no library module imports a name it never uses."""
+read from their files and left as they are.  Also two lints the repository
+has no tool for: no library or test module imports a name it never uses, and
+every private function, class and method of the library is read somewhere in
+it outside its own body."""
 import ast
 import importlib.util
 import sys
@@ -18,6 +20,7 @@ from matroidwb.constructions import uniform
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 LIBRARY = Path(mw.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +143,52 @@ def test_unused_imports_finds_an_unread_name():
     "module", sorted(p.name for p in LIBRARY.glob("*.py") if p.name != "__init__.py"))
 def test_library_module_has_no_unused_import(module):
     assert unused_imports((LIBRARY / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_has_no_unused_import(module):
+    assert unused_imports((TESTS / module).read_text()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """The private (one leading underscore, not dunder) top-level functions
+    and classes of a module, and the private methods of its classes."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node, *members]:
+            if (isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
+                    and not d.name.endswith("__")):
+                yield d
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Loads of a bare name and attribute accesses, by name."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
+
+
+def dead_helpers(sources: dict[str, str]) -> list[str]:
+    """`module:name` for every private definition that the modules read
+    nowhere outside the definition's own body."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}:{d.name}"
+        for module, tree in trees.items()
+        for d in _private_definitions(tree)
+        if reads[d.name] - _reads(d)[d.name] <= 0)
+
+
+def test_dead_helpers_finds_an_unread_helper():
+    src = (
+        "def _used():\n    return 1\n"
+        "def _recursive(k):\n    return _recursive(k - 1)\n"
+        "class C:\n    def _m(self):\n        return _used()\n    def __len__(self):\n        return 0\n")
+    assert dead_helpers({"a.py": src, "b.py": "import a\n"}) == ["a.py:_m", "a.py:_recursive"]
+
+
+def test_every_private_library_helper_is_read():
+    sources = {p.name: p.read_text() for p in LIBRARY.glob("*.py")}
+    assert dead_helpers(sources) == []
