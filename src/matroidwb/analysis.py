@@ -26,7 +26,6 @@ from .core import (
     connected_components,
     contract,
     delete,
-    elements,
     family_fingerprint,
     is_isomorphic,
     mask_of,
@@ -42,7 +41,7 @@ from .poly import (
 )
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
-from .sos import sos_certificate, sos_certificate_orthant
+from .sos import _poly_to_exponents, sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -77,15 +76,9 @@ class SearchResult:
 
 
 def _term_arrays(p: BoundedPoly, var_ids: Sequence[int]):
-    idx = {v: k for k, v in enumerate(var_ids)}
-    coeffs = np.array([float(c) for c in p.terms.values()])
-    exps = np.zeros((len(p.terms), len(var_ids)), dtype=np.int64)
-    for t, (lin, sq) in enumerate(p.terms):
-        for v in elements(lin):
-            exps[t, idx[v]] = 1
-        for v in elements(sq):
-            exps[t, idx[v]] = 2
-    return coeffs, exps
+    terms = _poly_to_exponents(p, var_ids, False)
+    coeffs = np.array([float(c) for c in terms.values()])
+    return coeffs, np.array(list(terms), dtype=np.int64)
 
 
 def _batch_eval(coeffs, exps, X):
@@ -362,16 +355,18 @@ def _all_pairs(f: BoundedPoly, check, **diag) -> Verdict:
     return verdicts.holds(kind, per_pair, pair=None, **diag)
 
 
-def _rayleigh(f: BoundedPoly, c, pair, budget: int, seed: int, diag: dict) -> Verdict:
-    """The c-weighted Rayleigh inequality on the positive orthant (c = 1: the
-    Rayleigh inequality), for one pair or (when pair is None) for all pairs;
-    diag names the property."""
+def _rayleigh(
+    f: BoundedPoly, c, pair, budget: int, seed: int, diag: dict, domain: str = POSITIVE_ORTHANT
+) -> Verdict:
+    """The c-weighted Rayleigh inequality on the domain (c = 1: the Rayleigh
+    inequality; c = 1 on all reals: the strong Rayleigh inequality), for one
+    pair or (when pair is None) for all pairs; diag names the property."""
     if any(cf < 0 for cf in f.terms.values()):
         raise ValueError("f must have nonnegative coefficients")
     def check(pair):
         i, j = pair
         diff = rayleigh_diff(f, i, j) if c == 1 else c_rayleigh_diff(f, i, j, c)
-        return _verdict_for_diff(diff, POSITIVE_ORTHANT, budget, seed, diag={**diag, "pair": (i, j)})
+        return _verdict_for_diff(diff, domain, budget, seed, diag={**diag, "pair": (i, j)})
     return _all_pairs(f, check, **diag) if pair is None else check(pair)
 
 
@@ -388,19 +383,14 @@ def rayleigh_verdict(
 
 def strong_rayleigh_verdict(
     f: BoundedPoly,
-    pair: tuple[int, int],
+    pair: Optional[tuple[int, int]] = None,
     budget: int = 20_000,
     seed: int = 0,
 ) -> Verdict:
-    """Nonnegativity of the Rayleigh difference on all of real space."""
-    if any(c < 0 for c in f.terms.values()):
-        raise ValueError("f must have nonnegative coefficients")
-    i, j = pair
-    diff = rayleigh_diff(f, i, j)
-    return _verdict_for_diff(
-        diff, ALL_REALS, budget, seed,
-        diag={"property": "strong_rayleigh", "pair": (i, j)},
-    )
+    """Nonnegativity of the Rayleigh difference on all of real space, for
+    one pair or (when pair is None) for all pairs.  For a multiaffine f, all
+    pairs is Brändén's criterion for stability (Adv. Math. 216, 2007)."""
+    return _rayleigh(f, 1, pair, budget, seed, {"property": "strong_rayleigh"}, ALL_REALS)
 
 
 def c_rayleigh_verdict(

@@ -1,6 +1,10 @@
 """Census orchestration: stream a family, run checks per instance, write one
 CSV row each plus witness JSON files for every Fails.
 
+A census check is `matroidwb check --prop <name>` without a pair: both read
+the table CHECKS, so a census cell is the outcome that command prints (for
+the classifiers, their found/none or true/false).
+
 Output is bit-identical for a fixed (job, seed) regardless of worker count:
 instances carry deterministic ids and per-instance seeds derived from the job
 seed by a fixed counter scheme, and the coordinator writes rows in id order.
@@ -12,16 +16,17 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import Matroid, is_connected
 from .analysis import (
-    hpp_verdict,
-    neg_corr_all_pairs,
     c_rayleigh_verdict,
+    hpp_verdict,
     is_balanced,
+    neg_corr,
+    neg_corr_all_pairs,
     rayleigh_verdict,
-    wagner_pair,
+    strong_rayleigh_verdict,
 )
 from .classifiers import (
     bicircular_family,
@@ -34,6 +39,52 @@ from .classifiers import (
 from .constructions import named_atlas
 from .poly import basis_poly
 from .io import dump_verdict_json, verdict_to_json
+from .verdicts import Verdict
+
+
+def _positive_c(c) -> Fraction:
+    """The c of c_rayleigh: a positive rational, given as one or as a string."""
+    try:
+        value = Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or value <= 0:
+        raise ValueError(f"c_rayleigh needs a positive rational c, got {c!r}")
+    return value
+
+
+class Check(NamedTuple):
+    column: str  # the census column it fills
+    takes_pair: bool
+    # (M, pair, c, budget, seed) -> a Verdict, or for the classifiers a
+    # positroid order (None when there is none) or a bool; pair=None means
+    # all pairs, and only c_rayleigh reads c (a rational or its string)
+    call: Callable
+
+
+# the meaning of each property name, for `check --prop` and the census alike
+CHECKS = {
+    "paving": Check("paving", False, lambda M, *_: is_paving(M)),
+    "sparse_paving": Check("sparse_paving", False, lambda M, *_: is_sparse_paving(M)),
+    "positroid": Check("positroid", False, lambda M, *_: positroid_verdict(M)),
+    "negcorr": Check(
+        "neg_corr_all_pairs", True,
+        lambda M, pair, *_: neg_corr(M, *pair) if pair else neg_corr_all_pairs(M)),
+    "balanced": Check("balanced", False, lambda M, *_: is_balanced(M)),
+    "rayleigh": Check(
+        "rayleigh_outcome", True,
+        lambda M, pair, c, budget, seed: rayleigh_verdict(basis_poly(M), pair, budget, seed)),
+    "c_rayleigh": Check(
+        "c_rayleigh_outcome", True,
+        lambda M, pair, c, budget, seed: c_rayleigh_verdict(
+            basis_poly(M), _positive_c(c), pair, budget, seed)),
+    "strong_rayleigh": Check(
+        "strong_rayleigh_outcome", True,
+        lambda M, pair, c, budget, seed: strong_rayleigh_verdict(
+            basis_poly(M), pair, budget, seed)),
+    "hpp": Check(
+        "hpp_outcome", False, lambda M, pair, c, budget, seed: hpp_verdict(M, budget, seed)),
+}
 
 CSV_COLUMNS = [
     "id",
@@ -43,50 +94,62 @@ CSV_COLUMNS = [
     "r",
     "num_bases",
     "connected",
-    "paving",
-    "sparse_paving",
-    "positroid",
-    "neg_corr_all_pairs",
-    "balanced",
-    "rayleigh_outcome",
-    "c_rayleigh_outcome",
-    "hpp_outcome",
+    *(check.column for check in CHECKS.values()),
     "witness_ref",
 ]
 
-# the columns that hold a Holds / Fails / Inconclusive outcome
-OUTCOME_COLUMNS = (
-    "neg_corr_all_pairs", "balanced", "rayleigh_outcome", "c_rayleigh_outcome", "hpp_outcome")
-
-KNOWN_CHECKS = (
-    "negcorr",
-    "balanced",
-    "rayleigh",
-    "strong_rayleigh",
-    "hpp",
-    "positroid",
-    "paving",
-    "c_rayleigh",
-)
+def _cell(result) -> str:
+    """The census cell of a check's result."""
+    if isinstance(result, Verdict):
+        return result.outcome
+    if isinstance(result, bool):
+        return str(result).lower()
+    return "found" if result is not None else "none"
 
 
 def _parse_check(check: str) -> tuple[str, Fraction | None]:
     """A census check as (name, c).  Only c_rayleigh takes an argument,
     `c_rayleigh:c` with c a positive rational (8/7 when omitted)."""
     base, sep, arg = check.partition(":")
-    if base not in KNOWN_CHECKS:
+    if base not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
     if base != "c_rayleigh":
         if sep:
             raise ValueError(f"check {base!r} takes no argument, got {check!r}")
         return base, None
-    try:
-        c = Fraction(arg or "8/7")
-    except (ValueError, ZeroDivisionError):
-        c = None
-    if c is None or c <= 0:
-        raise ValueError(f"c_rayleigh needs a positive rational c, got {check!r}")
-    return base, c
+    return base, _positive_c(arg or "8/7")
+
+
+# each family's integer params with their defaults (None: required)
+FAMILY_PARAMS = {
+    "lpm": {"max_total": 6},
+    "sparse_paving": {"n": None, "r": None},
+    "bicircular": {"max_edges": 6},
+    "atlas": {},
+}
+
+
+def _parse_params(family: str, params: dict) -> dict[str, int]:
+    """The family's params as integers, its defaults filled in."""
+    if family not in FAMILY_PARAMS:
+        raise ValueError(f"unknown family {family!r}")
+    known = FAMILY_PARAMS[family]
+    out = dict(known)
+    for key, val in params.items():
+        if key not in known:
+            raise ValueError(
+                f"family {family!r} has no param {key!r}; its params: {', '.join(known) or 'none'}")
+        message = f"param {key!r} needs an integer, got {val!r}"
+        if type(val) is not int and not isinstance(val, str):
+            raise ValueError(message)
+        try:
+            out[key] = int(val)
+        except ValueError:
+            raise ValueError(message) from None
+    missing = [key for key, val in out.items() if val is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs param(s) {', '.join(missing)}")
+    return out
 
 
 @dataclass
@@ -108,33 +171,27 @@ class CensusJob:
         if self.budget <= 0 or self.limit <= 0:
             raise ValueError("budgets must be positive")
         self.parsed_checks = [_parse_check(c) for c in self.checks]
+        self.params = _parse_params(self.family, self.params)
 
 
 def _instances(job: CensusJob) -> Iterator[tuple[str, str, Matroid]]:
-    fam = job.family
+    fam, params = job.family, job.params
     if fam == "lpm":
-        total = int(job.params.get("max_total", 6))
-        stream = lpm_family(
-            total, limit=job.limit,
-            connected_only=bool(job.params.get("connected_only", False)),
-        )
-        for k, (L, M) in enumerate(stream):
+        total = params["max_total"]
+        for k, (L, M) in enumerate(lpm_family(total, limit=job.limit)):
             yield (f"lpm{total}-{k:05d}", f"P={L.p};Q={L.q}", M)
     elif fam == "sparse_paving":
-        n = int(job.params["n"])
-        r = int(job.params["r"])
+        n, r = params["n"], params["r"]
         for k, M in enumerate(sparse_paving_family(n, r, limit=job.limit)):
             yield (f"sp{n}-{r}-{k:05d}", f"n={n};r={r}", M)
     elif fam == "bicircular":
-        e = int(job.params.get("max_edges", 6))
+        e = params["max_edges"]
         for k, (G, M) in enumerate(bicircular_family(e, limit=job.limit)):
             edges = ",".join(f"{a}-{b}" for a, b in G.edges)
             yield (f"bc{e}-{k:05d}", f"v={G.v};edges={edges}", M)
-    elif fam == "atlas":
+    else:
         for k, name in enumerate(("U24", "MK4", "W3", "BK33", "TicTacToe")):
             yield (f"atlas-{k:05d}", name, named_atlas(name))
-    else:
-        raise ValueError(f"unknown family {job.family!r}")
 
 
 def _instance_seed(job_seed: int, index: int) -> int:
@@ -152,40 +209,12 @@ def _run_instance(payload) -> dict:
     )
     witnesses = []
     start = time.perf_counter()
-    for base, c in checks:
-        if base == "paving":
-            row["paving"] = str(is_paving(M)).lower()
-            row["sparse_paving"] = str(is_sparse_paving(M)).lower()
-        elif base == "positroid":
-            order = positroid_verdict(M)
-            row["positroid"] = "found" if order is not None else "none"
-        elif base == "negcorr":
-            v = neg_corr_all_pairs(M)
-            row["neg_corr_all_pairs"] = v.outcome
-            if v.fails:
-                witnesses.append(("negcorr", v))
-        elif base == "balanced":
-            v = is_balanced(M)
-            row["balanced"] = v.outcome
-            if v.fails:
-                witnesses.append(("balanced", v))
-        elif base in ("rayleigh", "c_rayleigh"):
-            pair = wagner_pair(M)
-            if pair is None:  # no pair lies in a common basis
-                row[f"{base}_outcome"] = "Holds"
-                continue
-            if base == "rayleigh":
-                v = rayleigh_verdict(basis_poly(M), pair, budget=budget, seed=seed)
-            else:
-                v = c_rayleigh_verdict(basis_poly(M), c, pair, budget=budget, seed=seed)
-            row[f"{base}_outcome"] = v.outcome
-            if v.fails:
-                witnesses.append((base, v))
-        elif base in ("hpp", "strong_rayleigh"):
-            v = hpp_verdict(M, budget=budget, seed=seed)
-            row["hpp_outcome"] = v.outcome
-            if v.fails:
-                witnesses.append(("hpp", v))
+    for name, c in checks:
+        check = CHECKS[name]
+        result = check.call(M, None, c, budget, seed)
+        row[check.column] = _cell(result)
+        if isinstance(result, Verdict) and result.fails:
+            witnesses.append((name, result))
     wall_ms = int((time.perf_counter() - start) * 1000)
     return {
         "row": row,

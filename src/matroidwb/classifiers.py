@@ -291,15 +291,11 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
 # lattice path family
 
 
-def lpm_family(
-    max_total: int, limit: int = 10**9, connected_only: bool = False
-) -> Iterator[tuple[LatticePathPair, Matroid]]:
+def lpm_family(max_total: int, limit: int = 10**9) -> Iterator[tuple[LatticePathPair, Matroid]]:
     """All lattice path presentations with m + r <= max_total, streamed with
     their matroids in a fixed enumeration order."""
     if max_total > 9:
         raise ValueError("path census capped at m + r = 9")
-    from .core import is_connected
-
     count = 0
     for total in range(1, max_total + 1):
         for r in range(0, total + 1):
@@ -315,10 +311,7 @@ def lpm_family(
                         "N" if i in set(q_n) else "E" for i in range(1, total + 1)
                     )
                     L = LatticePathPair(p, q)
-                    M = lattice_path(L)
-                    if connected_only and not is_connected(M):
-                        continue
-                    yield (L, M)
+                    yield (L, lattice_path(L))
                     count += 1
                     if count >= limit:
                         return

@@ -1,6 +1,10 @@
 """Command-line workbench: construct matroids, check properties, run censuses,
 dump polynomials, and replay the bundled verification fixtures.
 
+`check --prop <name>` runs the library call that the table
+:data:`matroidwb.census.CHECKS` gives the name, on the pair from `--pair` or
+(without one) on all pairs; a census check is the same call without a pair.
+
 Exit codes for `check`: 0 = Holds, 1 = Fails, 2 = Inconclusive, >2 = error.
 """
 from __future__ import annotations
@@ -9,22 +13,11 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import io as wio
-from .analysis import (
-    c_rayleigh_verdict,
-    hpp_verdict,
-    is_balanced,
-    neg_corr,
-    neg_corr_all_pairs,
-    nice_extension_report,
-    rayleigh_verdict,
-    strong_rayleigh_verdict,
-    wagner_pair,
-)
-from .census import OUTCOME_COLUMNS, CensusJob, run_census
-from .classifiers import is_paving, is_sparse_paving, positroid_verdict
+from .analysis import neg_corr_all_pairs, nice_extension_report
+from .census import CHECKS, FAMILY_PARAMS, CensusJob, run_census
+from .classifiers import positroid_verdict
 from .constructions import (
     MultiGraph,
     bicircular,
@@ -41,7 +34,7 @@ from .constructions import (
 from .core import contract, delete, dual, relax, relabel_map, two_sum
 from .errors import MatroidError
 from .poly import basis_poly, rayleigh_diff
-from .verdicts import FAILS, HOLDS, INCONCLUSIVE
+from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
 
 
 def _read(path: str) -> str:
@@ -129,69 +122,34 @@ def cmd_construct(args) -> int:
 # check
 
 
-PAIR_PROPS = ("negcorr", "rayleigh", "strong_rayleigh", "c_rayleigh")
-POLY_PROPS = ("rayleigh", "strong_rayleigh", "c_rayleigh")
-
-
 def cmd_check(args) -> int:
     M = _load_matroid(args.matroid)
-    prop = args.prop
+    prop, check = args.prop, CHECKS[args.prop]
     pair = tuple(_int_list(args.pair)) if args.pair else None
-    if pair is not None and prop not in PAIR_PROPS:
-        raise ValueError(f"--prop {prop} takes no --pair; only {', '.join(PAIR_PROPS)} take one")
+    if pair is not None and not check.takes_pair:
+        takers = ", ".join(name for name, ch in CHECKS.items() if ch.takes_pair)
+        raise ValueError(f"--prop {prop} takes no --pair; only {takers} take one")
     if pair is not None and (len(pair) != 2 or pair[0] == pair[1]
                              or not all(1 <= e <= M.n for e in pair)):
         raise ValueError(f"--pair needs two distinct elements of 1..{M.n}, got {args.pair!r}")
-    f = basis_poly(M) if prop in POLY_PROPS else None
     start = time.perf_counter()
-    if prop == "negcorr":
-        v = neg_corr(M, *pair) if pair else neg_corr_all_pairs(M)
-    elif prop == "balanced":
-        v = is_balanced(M)
-    elif prop == "rayleigh":
-        v = rayleigh_verdict(f, pair, budget=args.budget, seed=args.seed)
-    elif prop == "strong_rayleigh":
-        p = pair or wagner_pair(M)
-        if p is None:  # no pair lies in a common basis: every difference is a constant >= 0
-            v = rayleigh_verdict(f, None, budget=args.budget, seed=args.seed)
-        else:
-            v = strong_rayleigh_verdict(f, p, budget=args.budget, seed=args.seed)
-    elif prop == "hpp":
-        v = hpp_verdict(M, budget=args.budget, seed=args.seed)
-    elif prop == "c_rayleigh":
-        v = c_rayleigh_verdict(
-            f, Fraction(args.c), pair, budget=args.budget, seed=args.seed
+    result = check.call(M, pair, args.c, args.budget, args.seed)
+    if isinstance(result, Verdict):
+        wall_ms = int((time.perf_counter() - start) * 1000)
+        payload = wio.verdict_to_json(
+            result, prop, args.matroid, pair=pair, seed=args.seed, wall_ms=wall_ms
         )
-    elif prop == "positroid":
-        order = positroid_verdict(M)
-        payload = {
-            "property": "positroid",
-            "matroid_id": args.matroid,
-            "outcome": HOLDS if order is not None else FAILS,
-            "order": list(order) if order is not None else None,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0 if order is not None else 1
-    elif prop == "paving":
-        ok = is_paving(M)
-        print(json.dumps({"property": "paving", "outcome": HOLDS if ok else FAILS}))
-        return 0 if ok else 1
-    elif prop == "sparse_paving":
-        ok = is_sparse_paving(M)
-        print(
-            json.dumps({"property": "sparse_paving", "outcome": HOLDS if ok else FAILS})
-        )
-        return 0 if ok else 1
-    else:  # pragma: no cover
-        raise ValueError(prop)
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    payload = wio.verdict_to_json(
-        v, prop, args.matroid, pair=pair, seed=args.seed, wall_ms=wall_ms
-    )
+        code = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}[result.outcome]
+    else:  # a classifier: a bool, or a positroid order
+        found = result is not None and result is not False
+        payload = {"property": prop, "outcome": HOLDS if found else FAILS}
+        if not isinstance(result, bool):
+            payload.update(matroid_id=args.matroid, order=list(result) if found else None)
+        code = 0 if found else 1
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         wio.dump_verdict_json(args.out, payload)
-    return {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}[v.outcome]
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +188,7 @@ def cmd_census(args) -> int:
         limit=args.limit,
     )
     rows = run_census(job)
-    fails = sum(1 for r in rows if "Fails" in (r.get(c) for c in OUTCOME_COLUMNS))
+    fails = sum(1 for r in rows if FAILS in r.values())
     print(f"census: {len(rows)} instances, {fails} with Fails outcomes -> {args.out}")
     return 0
 
@@ -377,30 +335,6 @@ def _random_matroid(rng, max_n: int = 7):
 # argument plumbing
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """`--config file` holds key=value defaults; explicit flags override."""
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 == len(argv):
-            raise ValueError("--config needs a file")
-        path = argv[idx + 1]
-        argv = argv[:idx] + argv[idx + 2 :]
-        conf = {}
-        for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise wio.ParseError(lineno, f"expected key=value, got {line!r}")
-            conf[key.strip()] = val.strip()
-        ints = {"seed", "budget", "workers", "limit"}
-        parser.set_defaults(
-            **{k: int(v) if k in ints else v for k, v in conf.items()}
-        )
-    return argv
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="matroidwb")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -445,10 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument(
         "--prop",
         required=True,
-        choices=[
-            "negcorr", "balanced", "rayleigh", "strong_rayleigh", "hpp",
-            "c_rayleigh", "positroid", "paving", "sparse_paving",
-        ],
+        choices=list(CHECKS),
     )
     k.add_argument("--pair", help="comma-separated pair, e.g. 1,2")
     k.add_argument("--c", default="8/7", help="constant for c_rayleigh")
@@ -461,9 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rayleigh", nargs=2, type=int, metavar=("I", "J"))
 
     s = sub.add_parser("census", help="run a family census to CSV + witnesses")
-    s.add_argument("--family", required=True, choices=["lpm", "sparse_paving", "bicircular", "atlas"])
+    s.add_argument("--family", required=True, choices=list(FAMILY_PARAMS))
     s.add_argument("--params", default="", help="semicolon-separated key=value")
-    s.add_argument("--checks", required=True, help="comma-separated checks")
+    s.add_argument(
+        "--checks", required=True,
+        help="comma-separated checks; each is `check --prop <name>` without a pair "
+        f"({', '.join(CHECKS)}; c_rayleigh:c sets c)",
+    )
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=100_000)
     s.add_argument("--workers", type=int, default=1)
@@ -476,10 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
         args = ap.parse_args(argv)
         if args.command == "construct":
             return cmd_construct(args)

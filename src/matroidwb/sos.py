@@ -35,7 +35,8 @@ def _poly_to_exponents(p: BoundedPoly, var_ids: tuple[int, ...], double: bool) -
             e[idx[v]] = 2
         if double:
             e = [2 * x for x in e]
-        out[tuple(e)] = out.get(tuple(e), Fraction(0)) + Fraction(c)
+        key = tuple(e)
+        out[key] = out[key] + c if key in out else Fraction(c)
     return {k: v for k, v in out.items() if v != 0}
 
 

@@ -229,9 +229,9 @@ class TestCli:
         assert payload["outcome"] == ("Holds" if code == 0 else "Fails")
 
     def test_empty_order_is_holds(self, tmp_path, capsys, monkeypatch):
-        from matroidwb import cli
+        from matroidwb import census
 
-        monkeypatch.setattr(cli, "positroid_verdict", lambda M: ())
+        monkeypatch.setattr(census, "positroid_verdict", lambda M: ())
         path = tmp_path / "u12.txt"
         path.write_text(format_matroid(uniform(1, 2)))
         assert main(["check", str(path), "--prop", "positroid"]) == 0

@@ -2,8 +2,9 @@
 command line is validated before any check runs and refused by the checks
 that ignore it, the basis polynomial is built only for the checks that read
 it, strong_rayleigh without a pair has an answer when no pair lies in a
-common basis, `poly --rayleigh` refuses a pair outside the ground set, and
-`--config` without a file is an error."""
+common basis, c must be a positive rational, `--out` gets the printed JSON
+for every check, and `poly --rayleigh` refuses a pair outside the ground
+set."""
 import json
 
 import pytest
@@ -47,6 +48,19 @@ def test_strong_rayleigh_without_a_pair_in_a_common_basis(tmp_path, M, capsys):
     assert outcomes[0] == outcomes[1] == ("Holds", "CoefficientNonneg")
 
 
+@pytest.mark.parametrize("c", ["1/0", "abc", "0"])
+def test_c_must_be_a_positive_rational(u13, c, capsys):
+    assert main(["check", u13, "--prop", "c_rayleigh", "--c", c]) == 4
+    assert f"c_rayleigh needs a positive rational c, got '{c}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prop", ["negcorr", "positroid", "paving"])
+def test_out_gets_the_printed_json(u13, tmp_path, prop, capsys):
+    out = tmp_path / "v.json"
+    assert main(["check", u13, "--prop", prop, "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+
 def test_valid_pair_runs_the_check(u13, capsys):
     assert main(["check", u13, "--prop", "negcorr", "--pair", "1,3"]) == 0
     assert json.loads(capsys.readouterr().out)["pair"] == [1, 3]
@@ -65,14 +79,14 @@ def test_checks_without_a_polynomial_do_not_build_one(u13, prop, monkeypatch, ca
     def refuse(M):
         raise AssertionError("basis_poly built")
 
-    monkeypatch.setattr("matroidwb.cli.basis_poly", refuse)
+    monkeypatch.setattr("matroidwb.census.basis_poly", refuse)
     assert main(["check", u13, "--prop", prop]) == 0
 
 
 @pytest.mark.parametrize("prop", ["rayleigh", "strong_rayleigh", "c_rayleigh"])
 def test_polynomial_checks_build_the_basis_polynomial(u13, prop, monkeypatch, capsys):
     built = []
-    monkeypatch.setattr("matroidwb.cli.basis_poly", lambda M: built.append(M) or basis_poly(M))
+    monkeypatch.setattr("matroidwb.census.basis_poly", lambda M: built.append(M) or basis_poly(M))
     assert main(["check", u13, "--prop", prop]) == 0
     assert len(built) == 1
 
@@ -94,9 +108,3 @@ def test_poly_rayleigh_pair_outside_the_ground_set_is_an_error(u24, pair, capsys
 def test_poly_rayleigh_prints_the_difference(u24, capsys):
     assert main(["poly", u24, "--rayleigh", "1", "2"]) == 0
     assert capsys.readouterr().out == "1 : x3^2\n1 : x3 x4\n1 : x4^2\n"
-
-
-def test_config_without_a_file_is_an_error(u24, capsys):
-    assert main(["check", u24, "--prop", "hpp", "--config"]) == 4
-    captured = capsys.readouterr()
-    assert "--config needs a file" in captured.err and captured.out == ""

@@ -6,8 +6,9 @@ augmenting-path routine against two matchers, the c-Rayleigh difference
 from the Rayleigh one against the expanded formula, all-pairs negative
 correlation from one count of pair degrees against a neg_corr call per pair,
 the one-pass Rayleigh difference against BoundedPoly arithmetic over the
-pair decomposition, and the hoisted min_c_estimate against its per-pair
-loop."""
+pair decomposition, the hoisted min_c_estimate against its per-pair
+loop, and the search's term arrays from sos._poly_to_exponents against the
+loop over the terms."""
 import random
 from fractions import Fraction
 from functools import reduce
@@ -22,6 +23,7 @@ from matroidwb import verdicts
 from matroidwb.analysis import (
     CEstimate,
     _minor_reps,
+    _term_arrays,
     c_rayleigh_verdict,
     min_c_estimate,
     neg_corr,
@@ -539,6 +541,37 @@ def test_rayleigh_diff_matches_the_reference_term_for_term_on_basis_polynomials(
             assert typed_terms(rayleigh_diff(f, i, j)) == typed_terms(reference_rayleigh_diff(f, i, j))
             checked += 1
     assert checked > 2000
+
+
+def reference_term_arrays(p, var_ids):
+    """The search's float arrays from the terms directly, as before they were
+    built from sos._poly_to_exponents."""
+    idx = {v: k for k, v in enumerate(var_ids)}
+    coeffs = np.array([float(c) for c in p.terms.values()])
+    exps = np.zeros((len(p.terms), len(var_ids)), dtype=np.int64)
+    for t, (lin, sq) in enumerate(p.terms):
+        for v in elements(lin):
+            exps[t, idx[v]] = 1
+        for v in elements(sq):
+            exps[t, idx[v]] = 2
+    return coeffs, exps
+
+
+def test_term_arrays_match_the_reference_on_every_rayleigh_difference():
+    checked = 0
+    for M in census_and_atlas():
+        f = basis_poly(M)
+        for i, j in combinations(range(1, M.n + 1), 2):
+            diff = rayleigh_diff(f, i, j)
+            var_ids = tuple(sorted(diff.active_vars()))
+            if diff.is_zero() or not var_ids:  # the search never builds arrays for these
+                continue
+            (coeffs, exps), (ref_coeffs, ref_exps) = (
+                _term_arrays(diff, var_ids), reference_term_arrays(diff, var_ids))
+            assert exps.dtype == ref_exps.dtype
+            assert np.array_equal(coeffs, ref_coeffs) and np.array_equal(exps, ref_exps)
+            checked += 1
+    assert checked > 900
 
 
 RANDOM_COEFFS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
