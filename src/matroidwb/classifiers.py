@@ -237,8 +237,10 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
     :func:`family_isomorphism`, and each new class representative is
     validated and streamed.  Deterministic enumeration order.
     """
-    if not (0 < r < n) or n > 10:
-        raise ValueError("need 0 < r < n <= 10")
+    if not 0 < r < n:
+        raise ValueError("need 0 < r < n")
+    if n > 10:
+        raise SizeCapExceeded("sparse paving census capped at n = 10")
     rsets = [mask_of(c) for c in combinations(range(1, n + 1), r)]
     nr = len(rsets)
     conflict = [0] * nr
@@ -295,7 +297,7 @@ def lpm_family(max_total: int, limit: int = 10**9) -> Iterator[tuple[LatticePath
     """All lattice path presentations with m + r <= max_total, streamed with
     their matroids in a fixed enumeration order."""
     if max_total > 9:
-        raise ValueError("path census capped at m + r = 9")
+        raise SizeCapExceeded("path census capped at m + r = 9")
     count = 0
     for total in range(1, max_total + 1):
         for r in range(0, total + 1):
@@ -394,7 +396,7 @@ def bicircular_family(
     not of matroid classes: cheap canonical keys suppress most isomorphic
     graphs, and non-isomorphic graphs can have isomorphic matroids."""
     if max_edges > 9:
-        raise ValueError("bicircular census capped at 9 edges")
+        raise SizeCapExceeded("bicircular census capped at 9 edges")
     seen = set()
     count = 0
     for v in range(1, max_edges + 2):

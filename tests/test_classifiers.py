@@ -218,6 +218,36 @@ class TestSizeCap:
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, MatroidError)
 
+    @pytest.mark.parametrize(
+        "family, args, message",
+        [
+            (lpm_family, (10,), "path census capped"),
+            (sparse_paving_family, (11, 3), "sparse paving census capped"),
+            (bicircular_family, (10,), "bicircular census capped"),
+        ],
+        ids=["lpm", "sparse_paving", "bicircular"],
+    )
+    def test_family_caps_raise_typed_error(self, family, args, message):
+        with pytest.raises(SizeCapExceeded, match=message):
+            next(family(*args))
+
+    def test_families_at_their_caps_start(self):
+        assert next(lpm_family(9)) and next(bicircular_family(9))
+        assert next(sparse_paving_family(10, 1)).n == 10
+
+    @pytest.mark.parametrize("n, r", [(5, 0), (5, 5), (4, 6)])
+    def test_sparse_paving_rank_outside_0_to_n_is_a_plain_value_error(self, n, r):
+        with pytest.raises(ValueError, match="0 < r < n") as info:
+            next(sparse_paving_family(n, r))
+        assert not isinstance(info.value, SizeCapExceeded)
+
+    def test_census_over_a_family_cap_is_an_error_exit(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        argv = ["census", "--family", "lpm", "--params", "max_total=10", "--checks", "negcorr",
+                "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
+        assert main(argv) == 4
+        assert "capped at m + r = 9" in capsys.readouterr().err
+
 
 class TestCli:
     @pytest.mark.parametrize("name, code", [("W3", 0), ("MK4", 1)])

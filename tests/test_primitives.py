@@ -7,8 +7,9 @@ from the Rayleigh one against the expanded formula, all-pairs negative
 correlation from one count of pair degrees against a neg_corr call per pair,
 the one-pass Rayleigh difference against BoundedPoly arithmetic over the
 pair decomposition, the hoisted min_c_estimate against its per-pair
-loop, and the search's term arrays from sos._poly_to_exponents against the
-loop over the terms."""
+loop, the search's term arrays from sos._poly_to_exponents against the
+loop over the terms, and the integer Gram elimination against the Fraction
+LDL^T it replaced."""
 import random
 from fractions import Fraction
 from functools import reduce
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from matroidwb import verdicts
+from matroidwb import sos, verdicts
 from matroidwb.analysis import (
     CEstimate,
     _minor_reps,
@@ -29,6 +30,7 @@ from matroidwb.analysis import (
     neg_corr,
     neg_corr_all_pairs,
     rayleigh_verdict,
+    strong_rayleigh_verdict,
 )
 from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
 from matroidwb.constructions import (
@@ -693,3 +695,134 @@ def test_all_pairs_rayleigh_outcomes_on_lpm5():
         f = basis_poly(M)
         for v in (rayleigh_verdict(f), c_rayleigh_verdict(f, Fraction(8, 7))):
             assert v.holds and v.certificate.kind == COEFF_NONNEG
+
+
+# ---------------------------------------------------------------------------
+# the integer Gram elimination against the Fraction LDL^T
+
+
+def reference_is_psd(A):
+    """Pivoted LDL^T over the rationals, as sos ran it before its Gram
+    matrices became integer: an exact semidefiniteness test."""
+    A = [[Fraction(x) for x in row] for row in A]
+    active = list(range(len(A)))
+    while active:
+        if any(A[i][i] < 0 for i in active):
+            return False
+        pivots = [i for i in active if A[i][i] > 0]
+        if not pivots:
+            return all(A[i][j] == 0 for i in active for j in active)
+        piv = pivots[0]
+        d = A[piv][piv]
+        active.remove(piv)
+        for i in [i for i in active if A[i][piv] != 0]:
+            f = A[i][piv] / d
+            for j in active:
+                A[i][j] -= f * A[piv][j]
+    return True
+
+
+def random_symmetric(rng, m):
+    """A low-rank PSD matrix, which one of three changes may spoil: a +-1 on
+    the diagonal, zeroed row/column pairs, or nothing; or a sparse random
+    symmetric matrix."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        A = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1):
+                if rng.random() < 0.4:
+                    A[i][j] = A[j][i] = rng.randint(-4, 4)
+        return A
+    vecs = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(rng.randint(0, m))]
+    A = [[sum(v[i] * v[j] for v in vecs) for j in range(m)] for i in range(m)]
+    if kind == 1:
+        i = rng.randrange(m)
+        A[i][i] += rng.choice((-1, 1))
+    elif kind == 2:
+        for i in rng.sample(range(m), rng.randint(1, m)):
+            for j in range(m):
+                A[i][j] = A[j][i] = 0
+    return A
+
+
+def test_integer_elimination_matches_the_fraction_ldlt_on_random_matrices():
+    rng = random.Random(12)
+    decided = {True: 0, False: 0}
+    for _ in range(6000):
+        A = random_symmetric(rng, rng.randint(1, 8))
+        psd = reference_is_psd(A)
+        assert sos._is_psd_integer(A) == psd, A
+        decided[psd] += 1
+    assert min(decided.values()) > 1500
+
+
+def reference_uniform_gram(p, square):
+    """The uniform Gram blocks of p (of p(y^2) when square) in Fractions, by
+    the tuple signatures of the Fraction version, or None when no Gram
+    matrix over the basis reproduces p."""
+    var_ids = tuple(sorted(p.active_vars()))
+    k = len(var_ids)
+    target = sos._poly_to_exponents(p, var_ids, square)
+    if square:
+        blocks = sos._even_basis(target, k)
+    elif any(any(e[i] for e in target) and not any(e[i] == 2 for e in target) for i in range(k)):
+        return None
+    else:
+        blocks = [sos._multiaffine_basis(target, k)]
+    blocks = [b for b in blocks if b]
+    groups = {}
+    for bi, basis in enumerate(blocks):
+        for i, mi in enumerate(basis):
+            for j, mj in enumerate(basis):
+                groups.setdefault(tuple(x + y for x, y in zip(mi, mj)), []).append((bi, i, j))
+    if any(sig not in groups for sig in target):
+        return None
+    mats = [[[Fraction(0)] * len(basis) for _ in basis] for basis in blocks]
+    for sig, entries in groups.items():
+        for bi, i, j in entries:
+            mats[bi][i][j] = Fraction(target.get(sig, 0)) / len(entries)
+    return [(tuple(basis), m) for basis, m in zip(blocks, mats)]
+
+
+def expansion(blocks, scale=1):
+    out = {}
+    for basis, matrix in blocks:
+        for a, row in zip(basis, matrix):
+            for b, q in zip(basis, row):
+                sig = tuple(x + y for x, y in zip(a, b))
+                out[sig] = out.get(sig, 0) + Fraction(q) / scale
+    return {sig: c for sig, c in out.items() if c}
+
+
+def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle(monkeypatch):
+    calls = []
+    certify = sos._certify
+
+    def recorded(p, square):
+        cert = certify(p, square)
+        calls.append((p, square, cert))
+        return cert
+
+    monkeypatch.setattr(sos, "_certify", recorded)
+    matroids = [M for _, M in lpm_family(5)] + list(sparse_paving_family(7, 3))
+    for M in matroids + [named_atlas(name) for name in ATLAS]:
+        f = basis_poly(M)
+        rayleigh_verdict(f, budget=200)
+        strong_rayleigh_verdict(f, budget=200)
+        for c in (Fraction(8, 7), 2):
+            c_rayleigh_verdict(f, c, budget=200)
+    accepted = 0
+    for p, square, cert in calls:
+        ref = reference_uniform_gram(p, square)
+        oracle = ref is not None and all(reference_is_psd(m) for _, m in ref)
+        assert (cert is not None) == oracle
+        if cert is not None:
+            accepted += 1
+            blocks = [(b.basis, b.matrix) for b in cert.blocks]
+            target = sos._poly_to_exponents(p, cert.var_ids, square)
+            assert expansion(blocks, cert.scale) == target
+            assert all(reference_is_psd(m) for _, m in blocks)
+            assert [(basis, [[Fraction(q, cert.scale) for q in row] for row in m])
+                    for basis, m in blocks] == ref
+    assert accepted > 100 and len(calls) - accepted > 10

@@ -1,17 +1,16 @@
-"""Exact Gram certificates: the uniform Gram matrix and its exact
-verification."""
+"""Exact Gram certificates: the uniform Gram matrix, an integer matrix over
+its scale, and its exact verification."""
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
-from matroidwb import sos
 from matroidwb.constructions import uniform
+from matroidwb.errors import SizeCapExceeded
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
 from matroidwb.sos import (
     GramBlock,
     GramCertificate,
-    _is_psd_exact,
+    _is_psd_integer,
     sos_certificate,
     sos_certificate_orthant,
 )
@@ -23,7 +22,7 @@ SQUARE = BoundedPoly(2, {(0, 0b01): 1, (0b11, 0): -2, (0, 0b10): 1})
 def _tampered(cert: GramCertificate, i: int, j: int) -> GramCertificate:
     blk = cert.blocks[0]
     rows = [list(row) for row in blk.matrix]
-    rows[i][j] += Fraction(1, 3)
+    rows[i][j] += 1
     new = replace(blk, matrix=tuple(tuple(row) for row in rows))
     return replace(cert, blocks=(new,) + cert.blocks[1:])
 
@@ -52,8 +51,16 @@ class TestUniformGram:
 
     def test_variable_cap(self):
         p = BoundedPoly(11, {(0, (1 << 11) - 1): 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeCapExceeded) as info:
             sos_certificate(p)
+        assert isinstance(info.value, ValueError)
+
+    def test_matrix_is_integer_over_the_scale(self):
+        # the uniform Gram of (x1 - x2)^2 + x1 x2 = x1^2 - x1 x2 + x2^2
+        # spreads -1 over two entries: [[2, -1], [-1, 2]] over scale 2
+        p = BoundedPoly(2, {(0, 0b01): 1, (0b11, 0): -1, (0, 0b10): 1})
+        cert = sos_certificate(p)
+        assert cert.scale == 2 and cert.blocks[0].matrix == ((2, -1), (-1, 2))
 
 
 class TestVerify:
@@ -65,17 +72,74 @@ class TestVerify:
 
     def test_rejects_non_symmetric_matrix(self):
         # [[1, 4], [0, 1]] expands to x1^2 + 4 x1 x2 + x2^2, which is -2 at
-        # (1, -1); its lower triangle alone would pass the LDL^T test
+        # (1, -1); its coefficients match, so only the symmetry test refuses it
         p = BoundedPoly(2, {(0, 0b01): 1, (0b11, 0): 4, (0, 0b10): 1})
-        F = Fraction
-        blk = GramBlock(((1, 0), (0, 1)), ((F(1), F(4)), (F(0), F(1))))
-        cert = GramCertificate((1, 2), (blk,), "none")
-        assert cert.expanded() == sos._poly_to_exponents(p, (1, 2), False)
+        blk = GramBlock(((1, 0), (0, 1)), ((1, 4), (0, 1)))
+        cert = GramCertificate((1, 2), (blk,), "none", 1)
         assert p.evaluate([1, -1]) < 0
         assert not cert.verify(p)
 
     def test_psd_exact(self):
-        F = Fraction
-        assert _is_psd_exact([[F(1), F(-1)], [F(-1), F(1)]])
-        assert not _is_psd_exact([[F(1), F(2)], [F(2), F(1)]])
-        assert not _is_psd_exact([[F(0), F(1)], [F(1), F(0)]])
+        assert _is_psd_integer([[1, -1], [-1, 1]])
+        assert not _is_psd_integer([[1, 2], [2, 1]])
+        assert not _is_psd_integer([[0, 1], [1, 0]])
+        assert not _is_psd_integer([[-1]])
+        assert _is_psd_integer([[0, 0], [0, 0]])
+
+
+def _with_block(cert: GramCertificate, basis, matrix) -> GramCertificate:
+    return replace(cert, blocks=(GramBlock(basis, matrix),))
+
+
+class TestVerifyRefuses:
+    """Each malformed or foreign certificate is refused with False."""
+
+    def test_a_polynomial_in_other_variables(self):
+        x3_squared = BoundedPoly(3, {(0, 0b100): 1})
+        assert not sos_certificate(SQUARE).verify(x3_squared)
+
+    def test_a_polynomial_missing_a_term_of_the_expansion(self):
+        # the certificate's -2 x1 x2 has no term of x1^2 + x2^2 to match
+        sum_of_squares = BoundedPoly(2, {(0, 0b01): 1, (0, 0b10): 1})
+        assert not sos_certificate(SQUARE).verify(sum_of_squares)
+
+    @pytest.mark.parametrize("entry", [True, 1.0, "1", None])
+    def test_a_bool_or_non_int_entry(self, entry):
+        cert = sos_certificate(SQUARE)
+        basis, matrix = cert.blocks[0].basis, cert.blocks[0].matrix
+        bad = ((entry,) + matrix[0][1:],) + matrix[1:]
+        assert matrix[0][0] == 1
+        assert not _with_block(cert, basis, bad).verify(SQUARE)
+
+    @pytest.mark.parametrize("scale", [0, -1, True, 1.0])
+    def test_a_scale_that_is_not_a_positive_int(self, scale):
+        cert = sos_certificate(SQUARE)
+        assert cert.scale == 1
+        assert not replace(cert, scale=scale).verify(SQUARE)
+
+    def test_a_scaled_certificate_with_its_scale_changed(self):
+        cert = sos_certificate(SQUARE)
+        doubled = tuple(tuple(2 * q for q in row) for row in cert.blocks[0].matrix)
+        assert replace(_with_block(cert, cert.blocks[0].basis, doubled), scale=2).verify(SQUARE)
+        assert not _with_block(cert, cert.blocks[0].basis, doubled).verify(SQUARE)
+
+    @pytest.mark.parametrize(
+        "matrix", [((1, -1), (-1,)), ((1, -1),), ((1, -1, 0), (-1, 1, 0)), ((1,), (-1,))]
+    )
+    def test_a_ragged_or_non_square_block(self, matrix):
+        cert = sos_certificate(SQUARE)
+        assert not _with_block(cert, cert.blocks[0].basis, matrix).verify(SQUARE)
+
+    @pytest.mark.parametrize("basis", [((1,), (0,)), ((1, 0, 0), (0, 1, 0))])
+    def test_a_basis_vector_of_another_length(self, basis):
+        cert = sos_certificate(SQUARE)
+        assert not _with_block(cert, basis, cert.blocks[0].matrix).verify(SQUARE)
+
+    def test_a_basis_exponent_outside_0_to_2(self):
+        # (x1^4)^2 = x1^8 would pack as a carry into x2's exponent: the
+        # basis (4, 0) squares to the signature 8 = 0b001_000, which is x2
+        x2 = BoundedPoly(2, {(0b10, 0): 1})
+        cert = GramCertificate((1, 2), (GramBlock(((4, 0),), ((1,),)),), "none", 1)
+        assert not cert.verify(x2)
+        negative = GramCertificate((1, 2), (GramBlock(((-1, 0), (1, 0)), ((0, 0), (0, 0))),), "none", 1)
+        assert not negative.verify(BoundedPoly.zero(2))
