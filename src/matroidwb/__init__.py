@@ -31,9 +31,7 @@ from .constructions import (
     MultiGraph,
     SetSystem,
     bicircular,
-    bicircular_presentation,
     graphic,
-    is_snake,
     lattice_path,
     lattice_path_pair_from_endpoints,
     lpm_recursive_build,
@@ -54,7 +52,6 @@ from .analysis import (
     counterexample_search,
     hpp_verdict,
     is_balanced,
-    min_c_estimate,
     neg_corr,
     neg_corr_all_pairs,
     nice_extension_report,

@@ -36,12 +36,11 @@ from .poly import (
     BoundedPoly,
     basis_poly,
     c_rayleigh_diff,
-    pair_decomposition,
     rayleigh_diff,
 )
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
-from .sos import _poly_to_exponents, sos_certificate, sos_certificate_orthant
+from .sos import sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -76,9 +75,12 @@ class SearchResult:
 
 
 def _term_arrays(p: BoundedPoly, var_ids: Sequence[int]):
-    terms = _poly_to_exponents(p, var_ids, False)
-    coeffs = np.array([float(c) for c in terms.values()])
-    return coeffs, np.array(list(terms), dtype=np.int64)
+    """p's float coefficients and its exponents over var_ids, read from the
+    (linear, squared) masks of its term keys: one row per term, in order."""
+    coeffs = np.array([float(c) for c in p.terms.values()])
+    keys = np.array(list(p.terms), dtype=np.int64)
+    bits = np.left_shift(1, np.array(var_ids, dtype=np.int64) - 1)
+    return coeffs, (keys[:, :1] & bits > 0) + 2 * (keys[:, 1:] & bits > 0)
 
 
 def _batch_eval(coeffs, exps, X):
@@ -235,8 +237,8 @@ def counterexample_search(
 
 def neg_corr(M: Matroid, e: int, f: int) -> Verdict:
     """Exact check of N_e * N_f >= N * N_ef (uniform measure on bases)."""
-    if e == f:
-        raise ValueError("need two distinct elements")
+    if not (1 <= e <= M.n and 1 <= f <= M.n) or e == f:
+        raise ValueError(f"need two distinct elements of 1..{M.n}, got {e} and {f}")
     be, bf = 1 << (e - 1), 1 << (f - 1)
     N = len(M.basis_masks)
     Ne = Nf = Nef = 0
@@ -406,45 +408,6 @@ def c_rayleigh_verdict(
     if c <= 0:
         raise ValueError("c must be positive")
     return _rayleigh(f, c, pair, budget, seed, {"property": "c_rayleigh", "c": str(Fraction(c))})
-
-
-@dataclass(frozen=True)
-class CEstimate:
-    """Sampled minimum of (d_i f * d_j f) / (d_ij f * f): f is c-Rayleigh
-    only for c >= 1 / value."""
-
-    value: Optional[Fraction]
-    pair: Optional[tuple[int, int]]
-    point: Optional[tuple[Fraction, ...]]
-
-
-def min_c_estimate(f: BoundedPoly, samples: int = 120, seed: int = 0) -> CEstimate:
-    """Minimum of (d_i f * d_j f) / (d_ij f * f) over sampled positive
-    rational points and pairs (where the denominator is positive); exact."""
-    import random
-
-    rng = random.Random(seed)
-    best: Optional[Fraction] = None
-    arg_pair = arg_point = None
-    pairs = list(combinations(sorted(f.active_vars()), 2))
-    if not pairs:
-        return CEstimate(None, None, None)
-    mixed = {pair: pair_decomposition(f, *pair)[0] for pair in pairs}
-    partial = {i: f.derivative(i) for i in f.active_vars()}
-    for _ in range(samples):
-        point = tuple(
-            Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(f.n)
-        )
-        f_val = f.evaluate(point)
-        d_val = {i: d.evaluate(point) for i, d in partial.items()}
-        for (i, j) in pairs:
-            den = mixed[i, j].evaluate(point) * f_val
-            if den <= 0:
-                continue
-            ratio = Fraction(d_val[i] * d_val[j]) / Fraction(den)
-            if best is None or ratio < best:
-                best, arg_pair, arg_point = ratio, (i, j), point
-    return CEstimate(best, arg_pair, arg_point)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from .core import (
     Matroid,
     closure,
     dual,
-    is_connected,
     mask_of,
 )
 from .errors import (
@@ -226,13 +225,6 @@ def _component_bounded(G: MultiGraph, rank: int, slack: int) -> Matroid:
     return Matroid(G.e, masks)
 
 
-def bicircular_presentation(G: MultiGraph) -> SetSystem:
-    """One set per vertex: the edges incident with it (a loop counted once)."""
-    return SetSystem(
-        n=G.e, family=tuple(G.incident(v) for v in range(1, G.v + 1))
-    )
-
-
 def transversal(S: SetSystem) -> Matroid:
     """Transversal matroid: independent sets are the partial transversals."""
     adj = {
@@ -255,35 +247,6 @@ def lattice_path(L: LatticePathPair) -> Matroid:
         frozenset(range(l, u + 1)) for (l, u) in L.intervals()
     )
     return transversal(SetSystem(n=L.size, family=family))
-
-
-def _column_heights(path: str) -> tuple[list[int], list[int]]:
-    """Arrival and departure heights of a path at each column x = 0..m."""
-    m = path.count("E")
-    ymin = [0] * (m + 1)
-    ymax = [0] * (m + 1)
-    x = y = 0
-    for ch in path:
-        if ch == "N":
-            y += 1
-        else:
-            ymax[x] = y
-            x += 1
-            ymin[x] = y
-    ymax[m] = y
-    return ymin, ymax
-
-
-def is_snake(L: LatticePathPair) -> bool:
-    """Connected, at least two elements, and the strip between the paths has
-    no interior lattice point (no column gap of 2 or more)."""
-    if L.size < 2:
-        return False
-    _, p_max = _column_heights(L.p)
-    q_min, _ = _column_heights(L.q)
-    if any(q_min[a] - p_max[a] > 1 for a in range(L.m + 1)):
-        return False
-    return is_connected(lattice_path(L))
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,16 @@ def _squeeze(masks: Iterable[int], smask: int) -> set[int]:
     return masks
 
 
+def _ground_mask(M: Matroid, S: Iterable[int]) -> int:
+    """The mask of S, refusing an element outside M's ground set 1..n."""
+    smask = 0
+    for e in S:
+        if not 1 <= e <= M.n:
+            raise ValueError(f"element {e} is not in the ground set 1..{M.n}")
+        smask |= 1 << (e - 1)
+    return smask
+
+
 def _minor(M: Matroid, smask: int, pick) -> Matroid:
     """The bases B whose |B & smask| is the pick (min: deletion, max:
     contraction) over all bases, with smask squeezed out; not re-validated."""
@@ -304,14 +314,14 @@ def delete(M: Matroid, S: Iterable[int]) -> Matroid:
     """Deletion M\\S: the bases meeting S least; new labels follow
     :func:`relabel_map`.  Not re-validated: the minor of an unvalidated
     non-matroid can itself be invalid."""
-    smask = mask_of(S)
+    smask = _ground_mask(M, S)
     return _minor(M, smask, min) if smask else M
 
 
 def contract(M: Matroid, S: Iterable[int]) -> Matroid:
     """Contraction M/S: the bases meeting S most; new labels follow
     :func:`relabel_map`.  Not re-validated, as for :func:`delete`."""
-    smask = mask_of(S)
+    smask = _ground_mask(M, S)
     return _minor(M, smask, max) if smask else M
 
 
@@ -516,7 +526,7 @@ def connected_components(M: Matroid) -> list[frozenset[int]]:
 
 def restriction(M: Matroid, S: Iterable[int]) -> Matroid:
     """M restricted to S (deletion of everything else)."""
-    smask = mask_of(S)
+    smask = _ground_mask(M, S)
     rest = set_of(((1 << M.n) - 1) & ~smask)
     return delete(M, rest)
 

@@ -10,91 +10,76 @@ the coefficients by construction and costs no solver.  It is checked once,
 by :meth:`GramCertificate.verify` (coefficients, symmetry and a PSD test by
 pivoted integer elimination), and discarded if that fails.
 
-Monomial signatures are packed exponent vectors, 3 bits per variable: with
-every exponent at most 4, the signature of a product is the sum of two ints.
+A factor of the basis is a pair of disjoint masks ``(P, Q)`` standing for
+y^P * y^(2Q) under the substitution x_i = y_i^2, that is x^Q when P = 0.
+The factors of one block share their P, so the product of (P, Qa) and
+(P, Qb) is x^P * x^Qa * x^Qb, whose term key is
+``(P | (Qa ^ Qb), Qa & Qb)`` in :class:`~matroidwb.poly.BoundedPoly`'s own
+format.  A block with P != 0 has odd powers of y in its factors, so it
+proves nonnegativity only where every x_i is a square: only an orthant
+(``"square"``) certificate may have one.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import gcd, lcm
 from typing import Optional
 
-from .core import elements
+from .core import popcount
 from .errors import SizeCapExceeded
-from .poly import BoundedPoly, Rational
+from .poly import BoundedPoly, TermKey
 
-ExpVec = tuple[int, ...]
-
-
-def _poly_to_exponents(p: BoundedPoly, var_ids: tuple[int, ...], double: bool) -> dict[ExpVec, Rational]:
-    """p as a map from exponent tuples over var_ids to its coefficients, ints
-    kept as ints; double=True substitutes x_i = y_i^2 (doubling all
-    exponents).  Distinct terms give distinct tuples."""
-    idx = {v: k for k, v in enumerate(var_ids)}
-    one, two = (2, 4) if double else (1, 2)
-    out: dict[ExpVec, Rational] = {}
-    for (lin, sq), c in p.terms.items():
-        e = [0] * len(var_ids)
-        for v in elements(lin):
-            e[idx[v]] = one
-        for v in elements(sq):
-            e[idx[v]] = two
-        out[tuple(e)] = c
-    return out
-
-
-def _pack(e: ExpVec) -> int:
-    return sum(x << (3 * k) for k, x in enumerate(e))
+Factor = tuple[int, int]  # (P, Q): y^P * y^(2Q), disjoint masks
 
 
 @dataclass(frozen=True)
 class GramBlock:
-    basis: tuple[ExpVec, ...]
+    basis: tuple[Factor, ...]
     matrix: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class GramCertificate:
-    """Exact SOS witness: sum over blocks of m^T Q m equals scale times the
-    target, where each Q is an integer matrix and scale > 0."""
+    """Exact SOS witness: sum over blocks of m^T G m equals scale times the
+    target, where each G is an integer matrix over factors (P, Q) with one P
+    per block (see the module docstring) and scale > 0."""
 
-    var_ids: tuple[int, ...]
     blocks: tuple[GramBlock, ...]
-    substitution: str  # "none" for plain SOS, "square" for x_i = y_i^2
+    substitution: str  # "none" for plain SOS (every P = 0), "square" for x_i = y_i^2
     scale: int
 
     def verify(self, p: BoundedPoly) -> bool:
-        """Integer entries over scale > 0; square, symmetric blocks over
-        exponent vectors in 0..2 of var_ids' length; for every signature, its
-        entries summing to scale times p's coefficient (after substitution);
-        and every block PSD by :func:`_is_psd_integer`.  False for any other
-        input, including a p with variables outside var_ids."""
-        k, scale = len(self.var_ids), self.scale
-        if type(scale) is not int or scale <= 0 or not p.active_vars() <= set(self.var_ids):
+        """Integer entries over an int scale > 0; square, symmetric blocks
+        whose factors are pairs of disjoint non-negative int masks with one P
+        per block, and P = 0 unless the substitution is ``"square"``; entries
+        summing to zero outside p's term keys and to scale times p's
+        coefficient on each of them; and every block PSD by
+        :func:`_is_psd_integer`.  False for any other input."""
+        scale, square = self.scale, self.substitution == "square"
+        if type(scale) is not int or scale <= 0:
             return False
-        sums: dict[int, int] = {}
+        sums: dict[TermKey, int] = {}
         for blk in self.blocks:
             basis, mat = blk.basis, blk.matrix
             m = len(basis)
             if len(mat) != m or any(len(row) != m or any(type(q) is not int for q in row) for row in mat):
                 return False
-            # exponents in 0..2 keep every packed sum below a carry
-            if any(len(e) != k or any(type(x) is not int or not 0 <= x <= 2 for x in e) for e in basis):
+            if any(type(f) is not tuple or len(f) != 2 or any(type(x) is not int or x < 0 for x in f)
+                   or f[0] & f[1] or f[0] != basis[0][0] for f in basis):
+                return False
+            if basis and basis[0][0] and not square:
                 return False
             if any(mat[i][j] != mat[j][i] for i in range(m) for j in range(i)):
                 return False
-            packed = [_pack(e) for e in basis]
-            for a, row in zip(packed, mat):
-                for b, q in zip(packed, row):
+            for (P, a), row in zip(basis, mat):
+                for (_, b), q in zip(basis, row):
                     if q:
-                        sums[a + b] = sums.get(a + b, 0) + q
-        target = _poly_to_exponents(p, self.var_ids, self.substitution == "square")
-        want = {_pack(e): c for e, c in target.items()}
-        if any(v and s not in want for s, v in sums.items()):
+                        key = (P | (a ^ b), a & b)
+                        sums[key] = sums.get(key, 0) + q
+        if any(v and key not in p.terms for key, v in sums.items()):
             return False
-        if any(sums.get(s, 0) * c.denominator != scale * c.numerator for s, c in want.items()):
+        if any(sums.get(key, 0) * c.denominator != scale * c.numerator for key, c in p.terms.items()):
             return False
         return all(_is_psd_integer(b.matrix) for b in self.blocks)
 
@@ -138,84 +123,56 @@ def _is_psd_integer(matrix) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# basis construction
-
-
-def _multiaffine_basis(target: dict[ExpVec, Rational], k: int) -> list[ExpVec]:
-    """Candidate square factors for a per-variable-degree-2 target: 0/1
-    exponent vectors.  A variable may appear only if the target contains its
-    square somewhere; degrees are filtered by (half the) target degrees."""
-    allowed = [i for i in range(k) if any(e[i] == 2 for e in target)]
-    degs = {sum(e) for e in target}
-    if not degs:
-        return []
-    out = []
-    for size in range((min(degs) + 1) // 2, max(degs) // 2 + 1):
-        for combo in combinations(allowed, size):
-            e = [0] * k
-            for i in combo:
-                e[i] = 1
-            out.append(tuple(e))
-    return out
-
-
-def _even_basis(target: dict[ExpVec, Rational], k: int) -> list[list[ExpVec]]:
-    """Candidate factors for an even target (all exponents even, max 4),
-    grouped into parity classes: for even polynomials a parity-pure SOS
-    exists, so the Gram may be block-diagonal over classes."""
-    if not target:
-        return []
-    maxdeg = max(sum(e) for e in target)
-    mindeg = min(sum(e) for e in target)
-    # a factor exponent of d on variable i squares to 2d, which must occur
-    cap = [max(e[i] for e in target) // 2 for i in range(k)]
-    ranges = [range(0, cap[i] + 1) for i in range(k)]
-    lo, hi = (mindeg + 1) // 2, maxdeg // 2
-    groups: dict[tuple[int, ...], list[ExpVec]] = {}
-    for e in product(*ranges):
-        if lo <= sum(e) <= hi:
-            parity = tuple(x % 2 for x in e)
-            groups.setdefault(parity, []).append(tuple(e))
-    return [groups[key] for key in sorted(groups)]
-
-
-# ---------------------------------------------------------------------------
 # Gram search
+
+
+def _submasks(mask: int):
+    sub = 0
+    while sub != mask:
+        yield sub
+        sub = (sub - mask) & mask
+    yield mask
+
+
+def _blocks(p: BoundedPoly, square: bool) -> list[list[Factor]]:
+    """The nonempty blocks of candidate factors for p, one per P: P = 0 alone
+    when plain, every P within p's variables when square.  A factor's Q
+    squares into an x_i^2, so it uses only variables that p has squared, and
+    its product with itself, of x-degree |P| + 2|Q|, lies within p's
+    degrees."""
+    if not p.terms:
+        return []
+    active = squared = 0
+    for lin, sq in p.terms:
+        active |= lin | sq
+        squared |= sq
+    if popcount(active) > 10:
+        raise SizeCapExceeded("SOS search capped at 10 active variables")
+    degrees = [popcount(lin) + 2 * popcount(sq) for lin, sq in p.terms]
+    lo, hi = min(degrees), max(degrees)
+    blocks = ([(P, Q) for Q in _submasks(squared & ~P) if lo <= popcount(P) + 2 * popcount(Q) <= hi]
+              for P in (_submasks(active) if square else (0,)))
+    return [block for block in blocks if block]
 
 
 def _certify(p: BoundedPoly, square: bool) -> Optional[GramCertificate]:
     """The uniform Gram certificate for p (for p(y^2) when square), or None
     when it does not verify exactly."""
-    var_ids = tuple(sorted(p.active_vars()))
-    k = len(var_ids)
-    if k > 10:
-        raise SizeCapExceeded("SOS search capped at 10 active variables")
-    target = _poly_to_exponents(p, var_ids, double=square)
-    if square:
-        blocks = _even_basis(target, k)
-    else:
-        # a variable occurring only linearly cannot appear in any square
-        # factor, so a target mentioning it linearly-only is never an SOS
-        for i in range(k):
-            if any(e[i] for e in target) and not any(e[i] == 2 for e in target):
-                return None
-        blocks = [_multiaffine_basis(target, k)]
-    blocks = [b for b in blocks if b]
-    packed = [[_pack(e) for e in basis] for basis in blocks]
-    entries = Counter(a + b for pk in packed for a in pk for b in pk)
-    want = {_pack(e): c for e, c in target.items()}
-    if any(sig not in entries for sig in want):
+    blocks = _blocks(p, square)
+    entries = Counter((P | (a ^ b), a & b) for block in blocks for P, a in block for _, b in block)
+    terms = p.terms
+    if any(key not in entries for key in terms):
         return None
-    # every signature's coefficient spread evenly over its entries, all over
-    # the least common denominator of the shares
-    dens = {s: c.denominator * entries[s] for s, c in want.items()}
-    scale = lcm(*(den // gcd(want[s].numerator, den) for s, den in dens.items()))
-    share = {s: c.numerator * scale // dens[s] for s, c in want.items()}
+    # every term's coefficient spread evenly over its entries, all over the
+    # least common denominator of the shares
+    dens = {key: c.denominator * entries[key] for key, c in terms.items()}
+    scale = lcm(*(den // gcd(terms[key].numerator, den) for key, den in dens.items()))
+    share = {key: c.numerator * scale // dens[key] for key, c in terms.items()}
     cert = GramCertificate(
-        var_ids,
         tuple(
-            GramBlock(tuple(basis), tuple(tuple(share.get(a + b, 0) for b in pk) for a in pk))
-            for basis, pk in zip(blocks, packed)
+            GramBlock(tuple(block), tuple(tuple(share.get((P | (a ^ b), a & b), 0) for _, b in block)
+                                          for P, a in block))
+            for block in blocks
         ),
         "square" if square else "none",
         scale,

@@ -15,7 +15,7 @@ import matroidwb
 from matroidwb import analysis
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import sparse_paving_family
-from matroidwb.constructions import graphic, k4, principal_extension, uniform
+from matroidwb.constructions import principal_extension, uniform
 from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
@@ -126,30 +126,16 @@ def test_sparse_paving_census_table(sp73):
     assert rayleigh == {"Holds": 9, "Inconclusive": 5}
 
 
+@pytest.mark.parametrize("pair", [(1, 9), (0, 1), (2, 2), (-1, 2), (5, 1)])
+def test_neg_corr_refuses_a_pair_outside_the_ground_set(pair):
+    with pytest.raises(ValueError, match="two distinct elements of 1..4"):
+        analysis.neg_corr(uniform(2, 4), *pair)
+
+
 def test_hpp_holds_names_single_pair_certificate(sp73):
     M, seed = sp73[0]
     v = analysis.hpp_verdict(M, budget=BUDGET, seed=seed)
     assert v.holds and v.certificate.kind == SINGLE_PAIR_WAGNER
-
-
-class TestMinCEstimate:
-    @pytest.mark.parametrize("M", [uniform(2, 4), graphic(k4())], ids=["U24", "MK4"])
-    def test_rayleigh_matroids_give_at_least_one(self, M):
-        est = analysis.min_c_estimate(basis_poly(M), samples=20, seed=3)
-        assert est.value >= 1
-
-    def test_value_is_the_ratio_at_the_returned_pair_and_point(self):
-        f = basis_poly(graphic(k4()))
-        est = analysis.min_c_estimate(f, samples=20, seed=5)
-        (i, j), x = est.pair, est.point
-        num = f.derivative(i).evaluate(x) * f.derivative(j).evaluate(x)
-        den = f.derivative(i).derivative(j).evaluate(x) * f.evaluate(x)
-        assert Fraction(num) / Fraction(den) == est.value
-
-    @pytest.mark.parametrize(
-        "f", [basis_poly(uniform(1, 1)), BoundedPoly(3, {(0, 0): 2})], ids=["x1", "const"])
-    def test_fewer_than_two_active_variables(self, f):
-        assert analysis.min_c_estimate(f) == analysis.CEstimate(None, None, None)
 
 
 def binary_matroid(columns, r):

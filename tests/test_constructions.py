@@ -1,5 +1,6 @@
 """Graphic, bicircular, transversal, lattice path constructions and the
-extension/truncation operators."""
+extension/truncation operators.  The bicircular construction is checked
+against the transversal matroid of its presentation."""
 import random
 from itertools import combinations
 
@@ -18,9 +19,7 @@ from matroidwb.constructions import (
     MultiGraph,
     SetSystem,
     bicircular,
-    bicircular_presentation,
     graphic,
-    is_snake,
     k4,
     k33,
     lattice_path,
@@ -48,6 +47,11 @@ PAPER_BASES = {
 
 def bases_as_strings(M):
     return {"".join(str(e) for e in sorted(b)) for b in M.bases}
+
+
+def bicircular_presentation(G):
+    """One set per vertex: the edges incident with it (a loop counted once)."""
+    return SetSystem(n=G.e, family=tuple(G.incident(v) for v in range(1, G.v + 1)))
 
 
 def random_multigraph(rng, max_v=4, max_e=7):
@@ -206,22 +210,6 @@ class TestLatticePath:
                 swap = str.maketrans("NE", "EN")
                 Ld = LatticePathPair(q.translate(swap), p.translate(swap))
                 assert dual(M) == lattice_path(Ld)
-
-
-class TestSnake:
-    def test_width_one_staircase(self):
-        assert is_snake(LatticePathPair("ENN", "NNE"))
-
-    def test_rectangle_not_snake(self):
-        assert not is_snake(LatticePathPair("EENN", "NNEE"))
-
-    def test_single_row_connected(self):
-        # r = 1: the strip is one row, no interior points possible
-        L = LatticePathPair("EEN", "NEE")
-        assert is_snake(L)
-
-    def test_disconnected_staircase_rejected(self):
-        assert not is_snake(LatticePathPair("ENEN", "NENE"))
 
 
 class TestTruncationExtension:

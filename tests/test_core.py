@@ -20,6 +20,7 @@ from matroidwb.core import (
     popcount,
     rank_of,
     relax,
+    restriction,
     set_of,
     two_separation,
     two_sum,
@@ -214,6 +215,13 @@ class TestMinors:
                 continue
             e = rng.randint(1, M.n)
             assert dual(delete(M, [e])) == contract(dual(M), [e])
+
+    @pytest.mark.parametrize("minor", [delete, contract, restriction])
+    @pytest.mark.parametrize("S", [[4], [1, 4], [0], [-1]])
+    def test_an_element_outside_the_ground_set_is_refused(self, minor, S):
+        bad = S[-1]
+        with pytest.raises(ValueError, match=rf"element {bad} is not in the ground set 1\.\.3"):
+            minor(uniform(2, 3), S)
 
     def test_delete_everything_is_rank_zero(self):
         M = delete(uniform(2, 3), [1, 2])

@@ -6,14 +6,15 @@ augmenting-path routine against two matchers, the c-Rayleigh difference
 from the Rayleigh one against the expanded formula, all-pairs negative
 correlation from one count of pair degrees against a neg_corr call per pair,
 the one-pass Rayleigh difference against BoundedPoly arithmetic over the
-pair decomposition, the hoisted min_c_estimate against its per-pair
-loop, the search's term arrays from sos._poly_to_exponents against the
-loop over the terms, and the integer Gram elimination against the Fraction
-LDL^T it replaced."""
+pair decomposition, the search's term arrays from the term-key masks
+against the loop over the terms, the integer Gram elimination against the
+Fraction LDL^T it replaced, and the uniform Gram over (P, Q) factors against
+the exponent-vector Gram it replaced."""
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from math import lcm
 from operator import xor
 from typing import Optional
 
@@ -22,11 +23,9 @@ import pytest
 
 from matroidwb import sos, verdicts
 from matroidwb.analysis import (
-    CEstimate,
     _minor_reps,
     _term_arrays,
     c_rayleigh_verdict,
-    min_c_estimate,
     neg_corr,
     neg_corr_all_pairs,
     rayleigh_verdict,
@@ -215,28 +214,6 @@ def reference_rayleigh_diff(f, i, j):
     the four parts."""
     f_ij, f_i, f_j, f_0 = (BoundedPoly(f.n, p.terms) for p in pair_decomposition(f, i, j))
     return f_i * f_j - f_ij * f_0
-
-
-def per_pair_min_c_estimate(f, samples=120, seed=0):
-    """The sampled minimum with a pair decomposition and fresh evaluations of
-    f, d_i f and d_j f for every sample and pair."""
-    rng = random.Random(seed)
-    best = arg_pair = arg_point = None
-    pairs = list(combinations(sorted(f.active_vars()), 2))
-    if not pairs:
-        return CEstimate(None, None, None)
-    for _ in range(samples):
-        point = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(f.n))
-        for (i, j) in pairs:
-            f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-            den = f_ij.evaluate(point) * f.evaluate(point)
-            if den <= 0:
-                continue
-            num = f.derivative(i).evaluate(point) * f.derivative(j).evaluate(point)
-            ratio = Fraction(num) / Fraction(den)
-            if best is None or ratio < best:
-                best, arg_pair, arg_point = ratio, (i, j), point
-    return CEstimate(best, arg_pair, arg_point)
 
 
 # binary S8: the identity and the columns 1111, 1101, 1011, 0111 over GF(2);
@@ -546,8 +523,7 @@ def test_rayleigh_diff_matches_the_reference_term_for_term_on_basis_polynomials(
 
 
 def reference_term_arrays(p, var_ids):
-    """The search's float arrays from the terms directly, as before they were
-    built from sos._poly_to_exponents."""
+    """The search's float arrays by a loop over each term's elements."""
     idx = {v: k for k, v in enumerate(var_ids)}
     coeffs = np.array([float(c) for c in p.terms.values()])
     exps = np.zeros((len(p.terms), len(var_ids)), dtype=np.int64)
@@ -638,19 +614,6 @@ def test_pair_decomposition_parts_are_valid_and_reassemble():
         xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
         f_ij, f_i, f_j, f_0 = parts
         assert xi * xj * f_ij + xi * f_i + xj * f_j + f_0 == f
-
-
-@pytest.mark.parametrize("name", ATLAS)
-def test_min_c_estimate_matches_the_per_pair_loop_on_the_atlas(name):
-    f = basis_poly(named_atlas(name))
-    samples = 30 if f.n <= 6 else 4
-    assert min_c_estimate(f, samples) == per_pair_min_c_estimate(f, samples)
-
-
-def test_min_c_estimate_matches_the_per_pair_loop_on_lpm5():
-    for k, (_, M) in enumerate(lpm_family(5)):
-        f = basis_poly(M)
-        assert min_c_estimate(f, 6, seed=k) == per_pair_min_c_estimate(f, 6, seed=k)
 
 
 class CountingTerms(dict):
@@ -757,19 +720,82 @@ def test_integer_elimination_matches_the_fraction_ldlt_on_random_matrices():
     assert min(decided.values()) > 1500
 
 
+def poly_to_exponents(p, var_ids, double):
+    """p as a map from exponent tuples over var_ids to its coefficients;
+    double=True substitutes x_i = y_i^2 (doubling all exponents)."""
+    idx = {v: k for k, v in enumerate(var_ids)}
+    one, two = (2, 4) if double else (1, 2)
+    out = {}
+    for (lin, sq), c in p.terms.items():
+        e = [0] * len(var_ids)
+        for v in elements(lin):
+            e[idx[v]] = one
+        for v in elements(sq):
+            e[idx[v]] = two
+        out[tuple(e)] = c
+    return out
+
+
+def multiaffine_basis(target, k):
+    """0/1 exponent vectors over the variables the target squares somewhere,
+    of half the target's degrees."""
+    allowed = [i for i in range(k) if any(e[i] == 2 for e in target)]
+    degs = {sum(e) for e in target}
+    if not degs:
+        return []
+    out = []
+    for size in range((min(degs) + 1) // 2, max(degs) // 2 + 1):
+        for combo in combinations(allowed, size):
+            e = [0] * k
+            for i in combo:
+                e[i] = 1
+            out.append(tuple(e))
+    return out
+
+
+def even_basis(target, k):
+    """Exponent vectors for an even target (all exponents even, max 4),
+    grouped into parity classes."""
+    if not target:
+        return []
+    maxdeg = max(sum(e) for e in target)
+    mindeg = min(sum(e) for e in target)
+    cap = [max(e[i] for e in target) // 2 for i in range(k)]
+    lo, hi = (mindeg + 1) // 2, maxdeg // 2
+    groups = {}
+    for e in product(*(range(c + 1) for c in cap)):
+        if lo <= sum(e) <= hi:
+            groups.setdefault(tuple(x % 2 for x in e), []).append(e)
+    return [groups[key] for key in sorted(groups)]
+
+
+def as_factor(e, var_ids, square):
+    """An exponent vector as the factor (P, Q): in a plain basis exponent 1
+    goes to Q; in an orthant basis exponent 1 goes to P and 2 to Q."""
+    P = Q = 0
+    for v, x in zip(var_ids, e):
+        bit = 1 << (v - 1)
+        if x == 2 or x == 1 and not square:
+            Q |= bit
+        elif x == 1:
+            P |= bit
+    return P, Q
+
+
 def reference_uniform_gram(p, square):
-    """The uniform Gram blocks of p (of p(y^2) when square) in Fractions, by
-    the tuple signatures of the Fraction version, or None when no Gram
-    matrix over the basis reproduces p."""
+    """The uniform Gram of p (of p(y^2) when square) in Fractions over the
+    exponent-vector bases that sos built before its factors became term-key
+    masks: a map from each pair of factors, as (P, Q), to its entry; None
+    when no Gram matrix over the basis reproduces p or when it is not PSD."""
     var_ids = tuple(sorted(p.active_vars()))
     k = len(var_ids)
-    target = sos._poly_to_exponents(p, var_ids, square)
+    target = poly_to_exponents(p, var_ids, square)
     if square:
-        blocks = sos._even_basis(target, k)
+        blocks = even_basis(target, k)
     elif any(any(e[i] for e in target) and not any(e[i] == 2 for e in target) for i in range(k)):
         return None
     else:
-        blocks = [sos._multiaffine_basis(target, k)]
+        blocks = [multiaffine_basis(target, k)]
     blocks = [b for b in blocks if b]
     groups = {}
     for bi, basis in enumerate(blocks):
@@ -782,17 +808,27 @@ def reference_uniform_gram(p, square):
     for sig, entries in groups.items():
         for bi, i, j in entries:
             mats[bi][i][j] = Fraction(target.get(sig, 0)) / len(entries)
-    return [(tuple(basis), m) for basis, m in zip(blocks, mats)]
+    if not all(reference_is_psd(m) for m in mats):
+        return None
+    return {
+        (as_factor(a, var_ids, square), as_factor(b, var_ids, square)): q
+        for basis, m in zip(blocks, mats)
+        for a, row in zip(basis, m)
+        for b, q in zip(basis, row)
+    }
 
 
 def expansion(blocks, scale=1):
+    """The sum over blocks of m^T G m over scale, as term keys: one P per
+    block, so factors (P, Qa) and (P, Qb) multiply to x^P x^Qa x^Qb."""
     out = {}
     for basis, matrix in blocks:
-        for a, row in zip(basis, matrix):
-            for b, q in zip(basis, row):
-                sig = tuple(x + y for x, y in zip(a, b))
-                out[sig] = out.get(sig, 0) + Fraction(q) / scale
-    return {sig: c for sig, c in out.items() if c}
+        assert len({P for P, _ in basis}) <= 1
+        for (P, a), row in zip(basis, matrix):
+            for (_, b), q in zip(basis, row):
+                key = (P | (a ^ b), a & b)
+                out[key] = out.get(key, 0) + Fraction(q) / scale
+    return {key: c for key, c in out.items() if c}
 
 
 def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle(monkeypatch):
@@ -815,14 +851,13 @@ def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle
     accepted = 0
     for p, square, cert in calls:
         ref = reference_uniform_gram(p, square)
-        oracle = ref is not None and all(reference_is_psd(m) for _, m in ref)
-        assert (cert is not None) == oracle
+        assert (cert is not None) == (ref is not None)
         if cert is not None:
             accepted += 1
             blocks = [(b.basis, b.matrix) for b in cert.blocks]
-            target = sos._poly_to_exponents(p, cert.var_ids, square)
-            assert expansion(blocks, cert.scale) == target
+            assert expansion(blocks, cert.scale) == p.terms
             assert all(reference_is_psd(m) for _, m in blocks)
-            assert [(basis, [[Fraction(q, cert.scale) for q in row] for row in m])
-                    for basis, m in blocks] == ref
+            assert {(a, b): Fraction(q, cert.scale) for basis, m in blocks
+                    for a, row in zip(basis, m) for b, q in zip(basis, row)} == ref
+            assert cert.scale == lcm(*(q.denominator for q in ref.values()))
     assert accepted > 100 and len(calls) - accepted > 10

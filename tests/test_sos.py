@@ -1,5 +1,6 @@
 """Exact Gram certificates: the uniform Gram matrix, an integer matrix over
-its scale, and its exact verification."""
+its scale and over factors (P, Q) in the polynomial's own term-key format,
+and its exact verification."""
 from dataclasses import replace
 
 import pytest
@@ -74,8 +75,8 @@ class TestVerify:
         # [[1, 4], [0, 1]] expands to x1^2 + 4 x1 x2 + x2^2, which is -2 at
         # (1, -1); its coefficients match, so only the symmetry test refuses it
         p = BoundedPoly(2, {(0, 0b01): 1, (0b11, 0): 4, (0, 0b10): 1})
-        blk = GramBlock(((1, 0), (0, 1)), ((1, 4), (0, 1)))
-        cert = GramCertificate((1, 2), (blk,), "none", 1)
+        blk = GramBlock(((0, 0b01), (0, 0b10)), ((1, 4), (0, 1)))
+        cert = GramCertificate((blk,), "none", 1)
         assert p.evaluate([1, -1]) < 0
         assert not cert.verify(p)
 
@@ -130,16 +131,46 @@ class TestVerifyRefuses:
         cert = sos_certificate(SQUARE)
         assert not _with_block(cert, cert.blocks[0].basis, matrix).verify(SQUARE)
 
-    @pytest.mark.parametrize("basis", [((1,), (0,)), ((1, 0, 0), (0, 1, 0))])
+    @pytest.mark.parametrize(
+        "basis", [((0, 0b01), (0,)), ((0, 0b01), (0, 0b10, 0)), ((0, 0b01), [0, 0b10]), ((0, 0b01), 0b10)])
     def test_a_basis_vector_of_another_length(self, basis):
+        # every factor must be a tuple (P, Q): not one of length 1 or 3, a
+        # list or a bare int
         cert = sos_certificate(SQUARE)
+        assert cert.blocks[0].basis == ((0, 0b01), (0, 0b10))
         assert not _with_block(cert, basis, cert.blocks[0].matrix).verify(SQUARE)
 
     def test_a_basis_exponent_outside_0_to_2(self):
-        # (x1^4)^2 = x1^8 would pack as a carry into x2's exponent: the
-        # basis (4, 0) squares to the signature 8 = 0b001_000, which is x2
-        x2 = BoundedPoly(2, {(0b10, 0): 1})
-        cert = GramCertificate((1, 2), (GramBlock(((4, 0),), ((1,),)),), "none", 1)
-        assert not cert.verify(x2)
-        negative = GramCertificate((1, 2), (GramBlock(((-1, 0), (1, 0)), ((0, 0), (0, 0))),), "none", 1)
-        assert not negative.verify(BoundedPoly.zero(2))
+        # (P, Q) with P & Q != 0 is y^3, outside every factor's 0..2.  The
+        # factor (1, 1) only adds a zero row and column to the orthant
+        # certificate of x1 = (y1)^2, so only the mask test refuses it
+        x1 = BoundedPoly(1, {(1, 0): 1})
+        cert = sos_certificate_orthant(x1)
+        assert cert.blocks == (GramBlock(((1, 0),), ((1,),)),) and cert.verify(x1)
+        assert not _with_block(cert, ((1, 0), (1, 1)), ((1, 0), (0, 0))).verify(x1)
+
+    @pytest.mark.parametrize("mask", [-1, True, 1.0, "1", None])
+    def test_a_negative_bool_or_non_int_mask(self, mask):
+        # the factor (0, mask) only adds a zero row and column, so only the
+        # mask test refuses it
+        cert = sos_certificate(SQUARE)
+        basis, matrix = cert.blocks[0].basis, cert.blocks[0].matrix
+        padded = tuple(row + (0,) for row in matrix) + ((0,) * (len(basis) + 1),)
+        assert _with_block(cert, basis + ((0, 0b100),), padded).verify(SQUARE)
+        assert not _with_block(cert, basis + ((0, mask),), padded).verify(SQUARE)
+
+    def test_a_block_with_two_different_p(self):
+        # rows (1, y1) with P taken row by row would sum to 2 + 2 x1, which
+        # is negative at x1 = -2: one P per block is what makes it a product
+        p = BoundedPoly(1, {(0, 0): 2, (1, 0): 2})
+        mixed = GramCertificate((GramBlock(((0, 0), (1, 0)), ((1, 1), (1, 1))),), "none", 1)
+        assert p.evaluate([-2]) < 0
+        assert not mixed.verify(p)
+        assert not replace(mixed, substitution="square").verify(p)
+
+    def test_a_nonzero_p_in_a_plain_certificate(self):
+        # the orthant certificate of x1 proves nothing on all reals
+        x1 = BoundedPoly(1, {(1, 0): 1})
+        cert = sos_certificate_orthant(x1)
+        assert cert.verify(x1) and sos_certificate(x1) is None
+        assert not replace(cert, substitution="none").verify(x1)
