@@ -1,9 +1,10 @@
 """matroidwb: exact matroid computations and negative-dependence checks.
 
 Core objects: Matroid (bases as bit-sets), BoundedPoly (exact rational
-polynomials, per-variable degree <= 2: basis polynomials and their Rayleigh
-differences), Verdict (Holds / Fails / Inconclusive with certificates and
-exactly-verified witnesses).
+polynomials, per-variable degree <= 2: basis polynomials and the Rayleigh
+and c-Rayleigh differences that rayleigh_diff builds from them), Verdict
+(Holds / Fails / Inconclusive with certificates and exactly-verified
+witnesses).
 """
 
 from .core import (

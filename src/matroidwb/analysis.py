@@ -32,12 +32,7 @@ from .core import (
     restriction,
     set_of,
 )
-from .poly import (
-    BoundedPoly,
-    basis_poly,
-    c_rayleigh_diff,
-    rayleigh_diff,
-)
+from .poly import BoundedPoly, basis_poly, rayleigh_diff
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
 from .sos import sos_certificate, sos_certificate_orthant
@@ -367,7 +362,7 @@ def _rayleigh(
         raise ValueError("f must have nonnegative coefficients")
     def check(pair):
         i, j = pair
-        diff = rayleigh_diff(f, i, j) if c == 1 else c_rayleigh_diff(f, i, j, c)
+        diff = rayleigh_diff(f, i, j, c)
         return _verdict_for_diff(diff, domain, budget, seed, diag={**diag, "pair": (i, j)})
     return _all_pairs(f, check, **diag) if pair is None else check(pair)
 
@@ -403,7 +398,7 @@ def c_rayleigh_verdict(
     seed: int = 0,
 ) -> Verdict:
     """The c-Rayleigh inequality c * d_i f * d_j f >= f * d_i d_j f on the
-    positive orthant (see :func:`matroidwb.poly.c_rayleigh_diff`), for one
+    positive orthant (see :func:`matroidwb.poly.rayleigh_diff`), for one
     pair or (when pair is None) for all pairs."""
     if c <= 0:
         raise ValueError("c must be positive")

@@ -42,6 +42,11 @@ from .io import dump_verdict_json, verdict_to_json
 from .verdicts import Verdict
 
 
+# the c of c_rayleigh when none is given: the constant Huh, Schroter and Wang
+# conjecture for all matroids
+DEFAULT_C = Fraction(8, 7)
+
+
 def _positive_c(c) -> Fraction:
     """The c of c_rayleigh: a positive rational, given as one or as a string."""
     try:
@@ -109,7 +114,7 @@ def _cell(result) -> str:
 
 def _parse_check(check: str) -> tuple[str, Fraction | None]:
     """A census check as (name, c).  Only c_rayleigh takes an argument,
-    `c_rayleigh:c` with c a positive rational (8/7 when omitted)."""
+    `c_rayleigh:c` with c a positive rational (DEFAULT_C when omitted)."""
     base, sep, arg = check.partition(":")
     if base not in CHECKS:
         raise ValueError(f"unknown check {check!r}")
@@ -117,7 +122,7 @@ def _parse_check(check: str) -> tuple[str, Fraction | None]:
         if sep:
             raise ValueError(f"check {base!r} takes no argument, got {check!r}")
         return base, None
-    return base, _positive_c(arg or "8/7")
+    return base, _positive_c(arg or DEFAULT_C)
 
 
 # each family's integer params with their defaults (None: required)

@@ -16,7 +16,7 @@ import time
 
 from . import io as wio
 from .analysis import neg_corr_all_pairs, nice_extension_report
-from .census import CHECKS, FAMILY_PARAMS, CensusJob, run_census
+from .census import CHECKS, DEFAULT_C, FAMILY_PARAMS, CensusJob, run_census
 from .classifiers import positroid_verdict
 from .constructions import (
     MultiGraph,
@@ -215,7 +215,6 @@ def cmd_verify_paper(args) -> int:
     import random
 
     from .core import direct_sum
-    from .poly import BoundedPoly
 
     failures = 0
 
@@ -250,12 +249,11 @@ def cmd_verify_paper(args) -> int:
         with_coloop = direct_sum(Mr, uniform(1, 1))
         g = basis_poly(with_coloop)
         e = Mr.n + 1
-        xe2 = BoundedPoly(with_coloop.n, {(0, 1 << (e - 1)): 1})
         pairs = [(i, j) for i in range(1, Mr.n + 1) for j in range(i + 1, Mr.n + 1)]
         for (i, j) in pairs[:3]:
-            lhs = rayleigh_diff(g, i, j)
-            rhs = xe2 * BoundedPoly(with_coloop.n, rayleigh_diff(f, i, j).terms)
-            if lhs != rhs:
+            # x_e^2 times the difference without the coloop
+            terms = rayleigh_diff(f, i, j).terms.items()
+            if rayleigh_diff(g, i, j).terms != {(lin, sq | 1 << Mr.n): c for (lin, sq), c in terms}:
                 ok_coloop = False
         if Mr.n >= 1 and not rayleigh_diff(g, e, 1).is_zero():
             ok_coloop = False
@@ -382,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(CHECKS),
     )
     k.add_argument("--pair", help="comma-separated pair, e.g. 1,2")
-    k.add_argument("--c", default="8/7", help="constant for c_rayleigh")
+    k.add_argument("--c", default=DEFAULT_C, help=f"constant for c_rayleigh (default {DEFAULT_C})")
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--budget", type=int, default=100_000)
     k.add_argument("--out", help="also write the verdict JSON here")

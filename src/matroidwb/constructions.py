@@ -9,6 +9,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (
     MAX_ELEMENTS,
     Matroid,
+    _ground_mask,
     closure,
     dual,
     mask_of,
@@ -46,11 +47,6 @@ class MultiGraph:
     @property
     def e(self) -> int:
         return len(self.edges)
-
-    def incident(self, vertex: int) -> frozenset[int]:
-        return frozenset(
-            i + 1 for i, (a, b) in enumerate(self.edges) if vertex in (a, b)
-        )
 
 
 @dataclass(frozen=True)
@@ -255,7 +251,7 @@ def lattice_path(L: LatticePathPair) -> Matroid:
 
 def principal_truncation(M: Matroid, F: Iterable[int]) -> Matroid:
     """Bases are B minus one F-element: {B \\ {f} : B basis, f in F n B}."""
-    fmask = mask_of(F)
+    fmask = _ground_mask(M, F)
     masks = set()
     for B in M.basis_masks:
         inter = B & fmask

@@ -175,10 +175,6 @@ class Matroid:
     def bases(self) -> tuple[frozenset[int], ...]:
         return tuple(set_of(m) for m in self.basis_masks)
 
-    @property
-    def ground(self) -> frozenset[int]:
-        return frozenset(range(1, self.n + 1))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matroid)
@@ -199,10 +195,6 @@ class CircuitSet:
 
     n: int
     masks: tuple[int, ...]
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(set_of(m) for m in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -229,12 +221,12 @@ def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
 
 def rank_of(M: Matroid, S: Iterable[int] | int) -> int:
     """Rank of a subset: the largest intersection with a basis."""
-    mask = S if isinstance(S, int) else mask_of(S)
+    mask = _ground_mask(M, S)
     return max(popcount(B & mask) for B in M.basis_masks)
 
 
 def closure(M: Matroid, S: Iterable[int] | int) -> frozenset[int]:
-    mask = S if isinstance(S, int) else mask_of(S)
+    mask = _ground_mask(M, S)
     r = rank_of(M, mask)
     cl = mask
     for e in range(1, M.n + 1):
@@ -291,8 +283,15 @@ def _squeeze(masks: Iterable[int], smask: int) -> set[int]:
     return masks
 
 
-def _ground_mask(M: Matroid, S: Iterable[int]) -> int:
-    """The mask of S, refusing an element outside M's ground set 1..n."""
+def _ground_mask(M: Matroid, S: Iterable[int] | int) -> int:
+    """The mask of S, given as elements or as a mask, refusing an element
+    outside M's ground set 1..n."""
+    if isinstance(S, int):
+        if S < 0:
+            raise ValueError(f"a set mask cannot be negative, got {S}")
+        if not S >> M.n:
+            return S
+        S = elements(S)
     smask = 0
     for e in S:
         if not 1 <= e <= M.n:
@@ -537,7 +536,7 @@ def restriction(M: Matroid, S: Iterable[int]) -> Matroid:
 
 def relax(M: Matroid, H: Iterable[int]) -> Matroid:
     """Promote a circuit-hyperplane H to a basis."""
-    hmask = mask_of(H)
+    hmask = _ground_mask(M, H)
     if popcount(hmask) != M.r:
         raise NotCircuitHyperplane(f"|H| = {popcount(hmask)} != rank {M.r}")
     if hmask in M._basis_set:

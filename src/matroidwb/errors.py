@@ -49,10 +49,6 @@ class PathViolation(MatroidError):
     pass
 
 
-class DegreeOverflow(MatroidError):
-    pass
-
-
 class WitnessNotVerified(MatroidError):
     """A witness failed exact re-verification after it was lifted."""
 

@@ -2,8 +2,9 @@
 
 A term's exponent vector is a pair of bit-sets (linear part, squared part);
 coefficients are exact rationals (python ints or Fractions).  This is enough
-to hold basis generating polynomials and products of two multi-affine
-polynomials such as their Rayleigh and c-Rayleigh differences.
+to hold basis generating polynomials and their Rayleigh and c-Rayleigh
+differences, which :func:`rayleigh_diff` builds in one pass over the terms;
+BoundedPoly itself has no arithmetic.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import Matroid, elements, set_of
-from .errors import DegreeOverflow
 
 Rational = int | Fraction
 
@@ -56,18 +56,6 @@ class BoundedPoly:
         p.n, p.terms = n, terms
         return p
 
-    @classmethod
-    def zero(cls, n: int) -> "BoundedPoly":
-        return cls(n, {})
-
-    @classmethod
-    def constant(cls, n: int, c: Rational) -> "BoundedPoly":
-        return cls(n, {(0, 0): c})
-
-    @classmethod
-    def variable(cls, n: int, i: int) -> "BoundedPoly":
-        return cls(n, {(1 << (i - 1), 0): 1})
-
     # -- basic structure ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -96,58 +84,7 @@ class BoundedPoly:
     def __repr__(self) -> str:
         return f"BoundedPoly(n={self.n}, terms={len(self.terms)})"
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "BoundedPoly") -> "BoundedPoly":
-        self._check_same_space(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BoundedPoly(self.n, out)
-
-    def __sub__(self, other: "BoundedPoly") -> "BoundedPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "BoundedPoly":
-        return BoundedPoly(self.n, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c: Rational) -> "BoundedPoly":
-        return BoundedPoly(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check_same_space(other)
-        out: dict[TermKey, Rational] = {}
-        for (l1, s1), c1 in self.terms.items():
-            for (l2, s2), c2 in other.terms.items():
-                if (s1 & s2) | (s1 & l2) | (s2 & l1):
-                    raise DegreeOverflow("product exceeds per-variable degree 2")
-                sq = s1 | s2 | (l1 & l2)
-                lin = l1 ^ l2
-                key = (lin, sq)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BoundedPoly(self.n, out)
-
-    __rmul__ = __mul__
-
-    def _check_same_space(self, other: "BoundedPoly"):
-        if self.n != other.n:
-            raise ValueError("polynomials live in different variable spaces")
-
-    # -- calculus / evaluation ------------------------------------------------
-
-    def derivative(self, i: int) -> "BoundedPoly":
-        bit = 1 << (i - 1)
-        out: dict[TermKey, Rational] = {}
-        for (lin, sq), c in self.terms.items():
-            if lin & bit:
-                key = (lin ^ bit, sq)
-                out[key] = out.get(key, 0) + c
-            elif sq & bit:
-                key = (lin | bit, sq ^ bit)
-                out[key] = out.get(key, 0) + 2 * c
-        return BoundedPoly(self.n, out)
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point: Sequence[Rational]) -> Rational:
         if len(point) != self.n:
@@ -194,38 +131,40 @@ def pair_decomposition(
     return tuple(BoundedPoly._trusted(f.n, p) for p in parts)  # type: ignore[return-value]
 
 
-def rayleigh_diff(f: BoundedPoly, i: int, j: int) -> BoundedPoly:
-    """d_i f * d_j f - d_i d_j f * f, for multi-affine f and distinct i, j in
-    1..n, as f_i*f_j - f_ij*f_0 (see :func:`pair_decomposition`): one pass
-    splits f's terms, both products accumulate in one dict in that order, and
-    the result is built trusted once zeros are dropped and coefficients
-    normalised.  It involves neither x_i nor x_j."""
+def rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational = 1) -> BoundedPoly:
+    """c * d_i f * d_j f - d_i d_j f * f, for multi-affine f and distinct i, j
+    in 1..n: the c-Rayleigh difference of Huh, Schroter and Wang, where c >= 1
+    asks for less than the Rayleigh property and c = 1 is the Rayleigh
+    difference.
+
+    With f = x_i x_j f_ij + x_i f_i + x_j f_j + f_0 (see
+    :func:`pair_decomposition`) it is c * (f_i*f_j - f_ij*f_0) +
+    (c - 1) * f_ij*f, which at c = 1 involves neither x_i nor x_j.  One pass
+    splits f's terms; the products accumulate as given, f_i*f_j - f_ij*f_0 in
+    one dict and f_ij*f in another, and each key is scaled once.  The result
+    is built trusted once zeros are dropped and coefficients normalised."""
     _check_pair(f, i, j)
     if not f.is_multiaffine:
         raise ValueError("Rayleigh difference needs a multi-affine polynomial")
     bi, bj = 1 << (i - 1), 1 << (j - 1)
     keep = ~(bi | bj)
     f_ij, f_i, f_j, f_0 = parts = ([], [], [], [])
-    for (lin, _), c in f.terms.items():
-        parts[2 * (not lin & bi) + (not lin & bj)].append((lin & keep, c))
+    for (lin, _), coeff in f.terms.items():
+        parts[2 * (not lin & bi) + (not lin & bj)].append((lin & keep, coeff))
     out: dict[TermKey, Rational] = {}
-    for sign, left, right in ((1, f_i, f_j), (-1, f_ij, f_0)):
+    extra: dict[TermKey, Rational] = {}
+    products = [(1, f_i, f_j, out), (-1, f_ij, f_0, out)]
+    if c != 1:
+        products.append((1, f_ij, [(lin, coeff) for (lin, _), coeff in f.terms.items()], extra))
+    for sign, left, right, acc in products:
         for l1, c1 in left:
             for l2, c2 in right:
                 key = (l1 ^ l2, l1 & l2)
-                out[key] = out.get(key, 0) + sign * c1 * c2
-    return BoundedPoly._trusted(f.n, {k: _norm(c) for k, c in out.items() if c != 0})
-
-
-def c_rayleigh_diff(f: BoundedPoly, i: int, j: int, c: Rational) -> BoundedPoly:
-    """c * d_i f * d_j f - d_i d_j f * f for multi-affine f (the c-Rayleigh
-    difference of Huh, Schroter and Wang), as c times the Rayleigh difference
-    plus (c - 1) * f_ij * f, since d_i d_j f = f_ij.  c >= 1 asks for less
-    than the Rayleigh property, and c = 1 is the Rayleigh difference.
-
-    Unlike the c=1 case this still involves x_i and x_j (linearly).
-    """
-    c = Fraction(c)
-    diff = rayleigh_diff(f, i, j)
-    f_ij = pair_decomposition(f, i, j)[0]
-    return diff.scale(c) + (f_ij * f).scale(c - 1)
+                acc[key] = acc.get(key, 0) + sign * c1 * c2
+    if c != 1:
+        # c = a/b times the Rayleigh difference's terms, then f_ij*f's new ones
+        a, b = Fraction(c).as_integer_ratio()
+        keys = [k for k, v in out.items() if v] + [
+            k for k, v in extra.items() if v and not out.get(k)]
+        out = {k: Fraction(a * out.get(k, 0) + (a - b) * extra.get(k, 0), b) for k in keys}
+    return BoundedPoly._trusted(f.n, {k: _norm(v) for k, v in out.items() if v != 0})

@@ -106,9 +106,9 @@ class TestTiers:
         M, seed = sp73[HPP_FAILS]
         N = direct_sum(M, uniform(1, 1))
 
-        def lifted_value_zero(f, i, j):
+        def lifted_value_zero(f, i, j, c=1):
             # only the lift evaluates on the full ground set of N
-            return BoundedPoly.zero(f.n) if f.n == N.n else rayleigh_diff(f, i, j)
+            return BoundedPoly(f.n) if f.n == N.n else rayleigh_diff(f, i, j, c)
 
         monkeypatch.setattr(analysis, "rayleigh_diff", lifted_value_zero)
         with pytest.raises(WitnessNotVerified):

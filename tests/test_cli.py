@@ -3,8 +3,8 @@ command line is validated before any check runs and refused by the checks
 that ignore it, the basis polynomial is built only for the checks that read
 it, strong_rayleigh without a pair has an answer when no pair lies in a
 common basis, c must be a positive rational, `--out` gets the printed JSON
-for every check, and `poly --rayleigh` and `construct minor` refuse an
-element outside the ground set."""
+for every check, and `poly --rayleigh` and `construct minor`, `extension`,
+`truncation` and `relax` refuse an element outside the ground set."""
 import json
 
 import pytest
@@ -117,3 +117,12 @@ def test_minor_of_an_element_outside_the_ground_set_is_an_error(tmp_path, op, ca
     assert main(["construct", "minor", "--in", str(path), op, "4"]) == 4
     captured = capsys.readouterr()
     assert "element 4 is not in the ground set 1..3" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["extension", "truncation", "relax"])
+def test_set_with_an_element_outside_the_ground_set_is_an_error(tmp_path, kind, capsys):
+    path = tmp_path / "m3.txt"
+    path.write_text(format_matroid(uniform(2, 3)))
+    assert main(["construct", kind, "--in", str(path), "--set", "1,9"]) == 4
+    captured = capsys.readouterr()
+    assert "element 9 is not in the ground set 1..3" in captured.err and captured.out == ""

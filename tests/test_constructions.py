@@ -51,7 +51,8 @@ def bases_as_strings(M):
 
 def bicircular_presentation(G):
     """One set per vertex: the edges incident with it (a loop counted once)."""
-    return SetSystem(n=G.e, family=tuple(G.incident(v) for v in range(1, G.v + 1)))
+    return SetSystem(n=G.e, family=tuple(
+        frozenset(i for i, edge in enumerate(G.edges, 1) if v in edge) for v in range(1, G.v + 1)))
 
 
 def random_multigraph(rng, max_v=4, max_e=7):
@@ -103,7 +104,7 @@ class TestBicircular:
         assert M.r == 1
         from matroidwb.core import circuits
 
-        assert circuits(M).sets == (frozenset({1, 2}),)
+        assert [set_of(m) for m in circuits(M).masks] == [{1, 2}]
 
     def test_presentation_matches_construction(self):
         rng = random.Random(11)
@@ -260,6 +261,12 @@ class TestTruncationExtension:
         M = lpm_recursive_build(["loop", "coloop"])
         with pytest.raises(FDisjointFromAllBases):
             principal_truncation(M, [1])
+
+    @pytest.mark.parametrize("op", [principal_truncation, principal_extension])
+    @pytest.mark.parametrize("F, bad", [([1, 9], 9), ([0, 2], 0), ([-1], -1)])
+    def test_an_element_outside_the_ground_set_is_refused(self, op, F, bad):
+        with pytest.raises(ValueError, match=rf"element {bad} is not in the ground set 1\.\.3"):
+            op(uniform(2, 3), F)
 
 
 class TestRecursiveBuild:

@@ -148,10 +148,10 @@ class TestRank:
 
 class TestCircuits:
     def test_u23(self):
-        assert circuits(uniform(2, 3)).sets == (frozenset({1, 2, 3}),)
+        assert [set_of(m) for m in circuits(uniform(2, 3)).masks] == [{1, 2, 3}]
 
     def test_u34(self):
-        assert circuits(uniform(3, 4)).sets == (frozenset({1, 2, 3, 4}),)
+        assert [set_of(m) for m in circuits(uniform(3, 4)).masks] == [{1, 2, 3, 4}]
 
     def test_antichain_and_cover(self):
         rng = random.Random(1)
@@ -245,7 +245,7 @@ class TestSums:
     def test_two_sum_u23(self):
         T = two_sum(uniform(2, 3), 3, uniform(2, 3), 3)
         assert T == uniform(3, 4)
-        assert circuits(T).sets == (frozenset({1, 2, 3, 4}),)
+        assert [set_of(m) for m in circuits(T).masks] == [{1, 2, 3, 4}]
 
     def test_two_sum_has_two_separation(self):
         T = two_sum(uniform(2, 3), 3, uniform(2, 3), 3)
@@ -321,6 +321,20 @@ class TestConnectivity:
             frozenset({1, 2}),
             frozenset({3, 4, 5}),
         ]
+
+
+@pytest.mark.parametrize("op", [rank_of, closure, relax])
+@pytest.mark.parametrize(
+    "S, bad", [([1, 9], 9), ([9], 9), ([0], 0), (0b1_0000_0011, 9), (0b1000, 4)])
+def test_a_set_with_an_element_outside_the_ground_set_is_refused(op, S, bad):
+    with pytest.raises(ValueError, match=rf"element {bad} is not in the ground set 1\.\.3"):
+        op(uniform(2, 3), S)
+
+
+@pytest.mark.parametrize("op", [rank_of, closure, relax])
+def test_a_negative_mask_is_refused(op):
+    with pytest.raises(ValueError, match="cannot be negative"):
+        op(uniform(2, 3), -1)
 
 
 class TestRelax:

@@ -3,10 +3,11 @@ the family isomorphism search and fingerprint against the subset-family
 search of the sparse-paving enumeration, forests from the component count
 against a forest union-find, the transversal rank and basis test from one
 augmenting-path routine against two matchers, the c-Rayleigh difference
-from the Rayleigh one against the expanded formula, all-pairs negative
-correlation from one count of pair degrees against a neg_corr call per pair,
-the one-pass Rayleigh difference against BoundedPoly arithmetic over the
-pair decomposition, the search's term arrays from the term-key masks
+of the one pass against the expanded formula and against c times the
+Rayleigh difference plus (c - 1) f_ij f, all-pairs negative correlation from
+one count of pair degrees against a neg_corr call per pair, the one-pass
+Rayleigh difference against term-dict arithmetic over the pair
+decomposition, the search's term arrays from the term-key masks
 against the loop over the terms, the integer Gram elimination against the
 Fraction LDL^T it replaced, and the uniform Gram over (P, Q) factors against
 the exponent-vector Gram it replaced."""
@@ -56,13 +57,7 @@ from matroidwb.core import (
     mask_of,
     popcount,
 )
-from matroidwb.poly import (
-    BoundedPoly,
-    basis_poly,
-    c_rayleigh_diff,
-    pair_decomposition,
-    rayleigh_diff,
-)
+from matroidwb.poly import BoundedPoly, basis_poly, pair_decomposition, rayleigh_diff
 from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG
 
 # ---------------------------------------------------------------------------
@@ -200,20 +195,82 @@ def reference_transversal(S):
     ])
 
 
+# arithmetic over term dicts {(linear mask, squared mask): coefficient}; each
+# result drops its zeros and turns integral Fractions into ints, as the
+# validated BoundedPoly constructor does
+
+
+def normal_terms(terms):
+    return {
+        k: int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+        for k, c in terms.items() if c != 0}
+
+
+def times(p, q):
+    """p * q, refusing a variable of degree above 2."""
+    out = {}
+    for (l1, s1), c1 in p.items():
+        for (l2, s2), c2 in q.items():
+            if (s1 & s2) | (s1 & l2) | (s2 & l1):
+                raise ValueError("product exceeds per-variable degree 2")
+            key = (l1 ^ l2, s1 | s2 | (l1 & l2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return normal_terms(out)
+
+
+def d_dx(p, i):
+    """d p / d x_i."""
+    bit = 1 << (i - 1)
+    out = {}
+    for (lin, sq), c in p.items():
+        if lin & bit:
+            key = (lin ^ bit, sq)
+        elif sq & bit:
+            key, c = (lin | bit, sq ^ bit), 2 * c
+        else:
+            continue
+        out[key] = out.get(key, 0) + c
+    return normal_terms(out)
+
+
+def combination(*scaled):
+    """a_1 p_1 + a_2 p_2 + ... over (a_k, p_k) pairs, keys in order of first
+    appearance."""
+    out = {}
+    for a, p in scaled:
+        for k, c in p.items():
+            out[k] = out.get(k, 0) + a * c
+    return normal_terms(out)
+
+
 def expanded_c_rayleigh_diff(f, i, j, c):
     """c f_i f_j - f_ij f_0 + (c - 1)(x_i x_j f_ij^2 + x_i f_i f_ij + x_j f_j f_ij)."""
-    f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-    xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
-    base = (f_i * f_j).scale(c) - f_ij * f_0
-    rest = xi * xj * (f_ij * f_ij) + xi * (f_i * f_ij) + xj * (f_j * f_ij)
-    return base + rest.scale(Fraction(c) - 1)
+    f_ij, f_i, f_j, f_0 = (p.terms for p in pair_decomposition(f, i, j))
+    xi, xj = {(1 << (i - 1), 0): 1}, {(1 << (j - 1), 0): 1}
+    rest = combination(
+        (1, times(times(xi, xj), times(f_ij, f_ij))),
+        (1, times(xi, times(f_i, f_ij))), (1, times(xj, times(f_j, f_ij))))
+    return combination((c, times(f_i, f_j)), (-1, times(f_ij, f_0)), (Fraction(c) - 1, rest))
+
+
+def derivative_form(f, i, j, c=1):
+    """c d_i f d_j f - f d_i d_j f."""
+    di, dj = d_dx(f.terms, i), d_dx(f.terms, j)
+    return combination((c, times(di, dj)), (-1, times(f.terms, d_dx(di, j))))
+
+
+def composed_c_rayleigh_diff(f, i, j, c):
+    """c times the Rayleigh difference plus (c - 1) f_ij f: both scaled, then
+    the second added to the first, so the terms of the first come first."""
+    f_ij = pair_decomposition(f, i, j)[0].terms
+    c = Fraction(c)
+    return combination((c, rayleigh_diff(f, i, j).terms), (c - 1, times(f_ij, f.terms)))
 
 
 def reference_rayleigh_diff(f, i, j):
-    """f_i f_j - f_ij f_0 by BoundedPoly arithmetic over validated copies of
-    the four parts."""
-    f_ij, f_i, f_j, f_0 = (BoundedPoly(f.n, p.terms) for p in pair_decomposition(f, i, j))
-    return f_i * f_j - f_ij * f_0
+    """f_i f_j - f_ij f_0 by term-dict arithmetic over the four parts."""
+    f_ij, f_i, f_j, f_0 = (p.terms for p in pair_decomposition(f, i, j))
+    return BoundedPoly(f.n, combination((1, times(f_i, f_j)), (-1, times(f_ij, f_0))))
 
 
 # binary S8: the identity and the columns 1111, 1101, 1011, 0111 over GF(2);
@@ -400,7 +457,7 @@ def test_transversal_matches_two_matchers():
 # ---------------------------------------------------------------------------
 # Rayleigh differences
 
-C_VALUES = (1, Fraction(8, 7), Fraction(1, 2), 2, Fraction(3, 5))
+C_VALUES = (1, Fraction(8, 7), 2, Fraction(1, 2), 3)
 
 
 def test_c_rayleigh_diff_matches_expanded_formula():
@@ -411,7 +468,7 @@ def test_c_rayleigh_diff_matches_expanded_formula():
         f = basis_poly(M)
         for i, j in combinations(range(1, M.n + 1), 2):
             for c in C_VALUES:
-                assert c_rayleigh_diff(f, i, j, c) == expanded_c_rayleigh_diff(f, i, j, c)
+                assert rayleigh_diff(f, i, j, c).terms == expanded_c_rayleigh_diff(f, i, j, c)
                 checked += 1
     assert checked > 1000
 
@@ -419,9 +476,13 @@ def test_c_rayleigh_diff_matches_expanded_formula():
 def test_c_rayleigh_diff_is_c_times_the_derivative_product_minus_f_times_the_mixed_one():
     f = basis_poly(graphic(k4()))
     for i, j in combinations(range(1, f.n + 1), 2):
-        di, dj = f.derivative(i), f.derivative(j)
         for c in C_VALUES:
-            assert c_rayleigh_diff(f, i, j, c) == (di * dj).scale(c) - f * di.derivative(j)
+            assert rayleigh_diff(f, i, j, c).terms == derivative_form(f, i, j, c)
+
+
+def test_term_dict_product_refuses_a_cube():
+    with pytest.raises(ValueError, match="degree 2"):
+        times({(0, 1): 1}, {(1, 0): 1})
 
 
 @pytest.mark.parametrize("M", [uniform(2, 3), uniform(2, 4)], ids=["U23", "U24"])
@@ -571,8 +632,8 @@ def test_rayleigh_diff_matches_the_reference_on_random_polynomials_that_cancel()
         f = random_multiaffine(rng)
         for i, j in combinations(range(1, f.n + 1), 2):
             d = rayleigh_diff(f, i, j)
-            di, dj = f.derivative(i), f.derivative(j)
-            assert d == reference_rayleigh_diff(f, i, j) == di * dj - di.derivative(j) * f
+            assert d == reference_rayleigh_diff(f, i, j)
+            assert d.terms == derivative_form(f, i, j)
             assert normalised(d)
             copy = BoundedPoly(f.n, d.terms)
             assert d == copy and hash(d) == hash(copy)
@@ -599,8 +660,25 @@ def test_rayleigh_diff_keeps_the_reference_order_when_no_product_cancels():
             d, ref = rayleigh_diff(f, i, j), reference_rayleigh_diff(f, i, j)
             assert typed_terms(d) == typed_terms(ref)
             f_ij, f_i, f_j, f_0 = pair_decomposition(f, i, j)
-            new_terms += len(set(ref.terms) - set((f_i * f_j).terms)) > 1
+            new_terms += len(set(ref.terms) - set(times(f_i.terms, f_j.terms))) > 1
     assert new_terms > 300
+
+
+def test_rayleigh_diff_at_c_matches_the_composition_term_for_term():
+    """At every c, the same terms in the same order with the same coefficient
+    types as c times the Rayleigh difference plus (c - 1) f_ij f, on every
+    pair of the census and atlas matroids and of random signed polynomials."""
+    rng = random.Random(41)
+    polys = [basis_poly(M) for M in census_and_atlas()]
+    polys += [random_multiaffine(rng) for _ in range(300)]
+    checked = 0
+    for f in polys:
+        for i, j in combinations(range(1, f.n + 1), 2):
+            for c in C_VALUES:
+                composed = BoundedPoly(f.n, composed_c_rayleigh_diff(f, i, j, c))
+                assert typed_terms(rayleigh_diff(f, i, j, c)) == typed_terms(composed)
+                checked += 1
+    assert checked > 18_000
 
 
 def test_pair_decomposition_parts_are_valid_and_reassemble():
@@ -611,9 +689,10 @@ def test_pair_decomposition_parts_are_valid_and_reassemble():
         parts = pair_decomposition(f, i, j)
         for p in parts:
             assert normalised(p) and typed_terms(p) == typed_terms(BoundedPoly(f.n, p.terms))
-        xi, xj = BoundedPoly.variable(f.n, i), BoundedPoly.variable(f.n, j)
-        f_ij, f_i, f_j, f_0 = parts
-        assert xi * xj * f_ij + xi * f_i + xj * f_j + f_0 == f
+        xi, xj = {(1 << (i - 1), 0): 1}, {(1 << (j - 1), 0): 1}
+        f_ij, f_i, f_j, f_0 = (p.terms for p in parts)
+        assert combination((1, times(times(xi, xj), f_ij)), (1, times(xi, f_i)),
+                           (1, times(xj, f_j)), (1, f_0)) == f.terms
 
 
 class CountingTerms(dict):

@@ -39,8 +39,8 @@ class TestUniformGram:
         assert sos_certificate_orthant(diff).verify(diff)
 
     def test_zero_polynomial_has_empty_certificate(self):
-        cert = sos_certificate(BoundedPoly.zero(3))
-        assert cert.blocks == () and cert.verify(BoundedPoly.zero(3))
+        cert = sos_certificate(BoundedPoly(3))
+        assert cert.blocks == () and cert.verify(BoundedPoly(3))
 
     def test_linear_only_variable_is_never_sos(self):
         # x1 x2^2 + x2^2: x1 occurs only linearly
@@ -48,7 +48,7 @@ class TestUniformGram:
         assert sos_certificate(p) is None
 
     def test_negative_polynomial_has_no_certificate(self):
-        assert sos_certificate(BoundedPoly.constant(1, -1)) is None
+        assert sos_certificate(BoundedPoly(1, {(0, 0): -1})) is None
 
     def test_variable_cap(self):
         p = BoundedPoly(11, {(0, (1 << 11) - 1): 1})

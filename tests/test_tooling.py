@@ -5,9 +5,9 @@ installs and restores its wrappers.  The benchmark modules are
 read from their files and left as they are.  Also three lints the repository
 has no tool for: no library or test module imports a name it never uses,
 every private function, class and method of the library is read somewhere in
-it outside its own body, and every public function and class of the library
-is read by the library (the CLI included, the package's re-exports not) or
-by the benchmark."""
+it outside its own body, and every public function, class, method and
+property of the library is read by the library (the CLI included, the
+package's re-exports not) or by the benchmark."""
 import ast
 import importlib.util
 import sys
@@ -152,14 +152,15 @@ def test_test_module_has_no_unused_import(module):
     assert unused_imports((TESTS / module).read_text()) == []
 
 
-def _private_definitions(tree: ast.Module):
-    """The private (one leading underscore, not dunder) top-level functions
-    and classes of a module, and the private methods of its classes."""
+def _definitions(tree: ast.Module, private: bool):
+    """The private (one leading underscore, not dunder) or the public
+    top-level functions and classes of a module, and the methods and
+    properties of its classes that are the same."""
     for node in tree.body:
         members = node.body if isinstance(node, ast.ClassDef) else []
         for d in [node, *members]:
-            if (isinstance(d, (ast.FunctionDef, ast.ClassDef)) and d.name.startswith("_")
-                    and not d.name.endswith("__")):
+            if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
+                    and d.name.startswith("_") == private and not d.name.endswith("__")):
                 yield d
 
 
@@ -179,7 +180,7 @@ def dead_helpers(sources: dict[str, str]) -> list[str]:
     return sorted(
         f"{module}:{d.name}"
         for module, tree in trees.items()
-        for d in _private_definitions(tree)
+        for d in _definitions(tree, private=True)
         if reads[d.name] - _reads(d)[d.name] <= 0)
 
 
@@ -203,23 +204,27 @@ UNREAD_PUBLIC_NAMES = ["constructions.py:lpm_recursive_build"]
 
 
 def unread_public_names(sources: dict[str, str], outside: Counter) -> list[str]:
-    """`module:name` for every public top-level function and class that the
-    modules read nowhere outside the definition's own body and that
-    `outside` does not count."""
+    """`module:name` for every public top-level function and class, and every
+    public method and property of a class, that the modules read nowhere
+    outside the definition's own body and that `outside` does not count."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     reads = sum((_reads(tree) for tree in trees.values()), Counter()) + outside
     return sorted(
         f"{module}:{d.name}"
         for module, tree in trees.items()
-        for d in tree.body
-        if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")
-        and reads[d.name] - _reads(d)[d.name] <= 0)
+        for d in _definitions(tree, private=False)
+        if reads[d.name] - _reads(d)[d.name] <= 0)
 
 
 def test_unread_public_names_finds_an_unread_name():
-    src = "def used():\n    return 1\ndef unused():\n    return used()\nclass Looked:\n    pass\n"
-    assert unread_public_names({"a.py": src}, Counter()) == ["a.py:Looked", "a.py:unused"]
-    assert unread_public_names({"a.py": src}, Counter(["Looked"])) == ["a.py:unused"]
+    src = (
+        "def used():\n    return 1\ndef unused():\n    return used()\n"
+        "class Looked:\n    def method(self):\n        return self.size\n"
+        "    @property\n    def size(self):\n        return 0\n    def __len__(self):\n"
+        "        return 0\n")
+    assert unread_public_names({"a.py": src}, Counter()) == [
+        "a.py:Looked", "a.py:method", "a.py:unused"]
+    assert unread_public_names({"a.py": src}, Counter(["Looked", "method"])) == ["a.py:unused"]
 
 
 def test_every_public_library_name_is_read_by_the_library_or_the_benchmark(bench):
