@@ -19,7 +19,6 @@ from .core import (
     dual,
     from_bases,
     is_connected,
-    is_isomorphic,
     isomorphism,
     rank_of,
     relax,

@@ -21,13 +21,12 @@ import numpy as np
 
 from . import verdicts
 from .core import (
+    FamilyClasses,
     Matroid,
     _pair_degrees,
     connected_components,
     contract,
     delete,
-    family_fingerprint,
-    is_isomorphic,
     mask_of,
     restriction,
     set_of,
@@ -267,8 +266,7 @@ def neg_corr_all_pairs(M: Matroid) -> Verdict:
 
 def _minor_reps(M: Matroid):
     """Isomorphism-class representatives of all minors with >= 2 elements."""
-    seen_exact: set[tuple[int, tuple[int, ...]]] = set()
-    buckets: dict[tuple, list[Matroid]] = {}
+    classes = FamilyClasses()
     elems = list(range(1, M.n + 1))
     for kc in range(0, M.r + 1):
         for I in combinations(elems, kc):
@@ -278,15 +276,8 @@ def _minor_reps(M: Matroid):
             for kd in range(0, M1.n - 1):
                 for D in combinations(range(1, M1.n + 1), kd):
                     M2 = delete(M1, D) if D else M1
-                    key = (M2.n, M2.basis_masks)
-                    if key in seen_exact:
-                        continue
-                    seen_exact.add(key)
-                    bucket = buckets.setdefault(family_fingerprint(M2.n, M2.basis_masks), [])
-                    if any(is_isomorphic(M2, other) for other in bucket):
-                        continue
-                    bucket.append(M2)
-                    yield M2, set_of(mask_of(I)), set_of(mask_of(D))
+                    if classes.is_new(M2.n, M2.basis_masks):
+                        yield M2, set_of(mask_of(I)), set_of(mask_of(D))
 
 
 def is_balanced(M: Matroid) -> Verdict:

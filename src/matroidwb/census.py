@@ -8,10 +8,13 @@ the classifiers, their found/none or true/false).
 Output is bit-identical for a fixed (job, seed) regardless of worker count:
 instances carry deterministic ids and per-instance seeds derived from the job
 seed by a fixed counter scheme, and the coordinator writes rows in id order.
+A census that finds its CSV already written resumes after the ids there, but
+only when `<csv>.job.json`, written with the CSV, records the same job.
 """
 from __future__ import annotations
 
 import csv
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -176,7 +179,20 @@ class CensusJob:
         if self.budget <= 0 or self.limit <= 0:
             raise ValueError("budgets must be positive")
         self.parsed_checks = [_parse_check(c) for c in self.checks]
+        columns: dict[str, str] = {}
+        for check, (name, _) in zip(self.checks, self.parsed_checks):
+            column = CHECKS[name].column
+            if column in columns:
+                raise ValueError(
+                    f"checks {columns[column]!r} and {check!r} both fill column {column!r}")
+            columns[column] = check
         self.params = _parse_params(self.family, self.params)
+
+    def record(self) -> dict:
+        """The fields that decide the rows, as `<csv>.job.json` keeps them."""
+        checks = [[name, c if c is None else str(c)] for name, c in self.parsed_checks]
+        return dict(family=self.family, params=self.params, checks=checks,
+                    seed=self.seed, budget=self.budget, limit=self.limit)
 
 
 def _instances(job: CensusJob) -> Iterator[tuple[str, str, Matroid]]:
@@ -234,7 +250,16 @@ def run_census(job: CensusJob) -> list[dict]:
     """Run the job; returns the row dicts (also written to job.out_csv)."""
     done_ids: set[str] = set()
     existing_rows: list[dict] = []
+    job_file = job.out_csv + ".job.json"
     if os.path.exists(job.out_csv):
+        if not os.path.exists(job_file):
+            raise ValueError(f"{job.out_csv} has no {job_file}, so its job is unknown")
+        with open(job_file) as fh:
+            written = json.load(fh)
+        for key, value in job.record().items():
+            if written.get(key) != value:
+                raise ValueError(f"{job.out_csv} holds another job: its {key} is "
+                                 f"{written.get(key)!r}, this job's is {value!r}")
         with open(job.out_csv, newline="") as fh:
             for row in csv.DictReader(fh):
                 done_ids.add(row["id"])
@@ -272,6 +297,9 @@ def run_census(job: CensusJob) -> list[dict]:
         new_rows.append(row)
 
     write_header = not os.path.exists(job.out_csv)
+    if write_header:
+        with open(job_file, "w") as fh:
+            json.dump(job.record(), fh)
     with open(job.out_csv, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if write_header:

@@ -8,9 +8,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .core import (
+    FamilyClasses,
     Matroid,
-    family_fingerprint,
-    family_isomorphism,
     mask_of,
     popcount,
     subset_sizes,
@@ -234,7 +233,7 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
     grown breadth-first by size.  A permutation of [n] fixes the set of
     r-sets, so it carries bases onto bases exactly when it carries H onto the
     other non-basis family: each new H is compared with the earlier ones by
-    :func:`family_isomorphism`, and each new class representative is
+    :class:`FamilyClasses`, and each new class representative is
     validated and streamed.  Deterministic enumeration order.
     """
     if not 0 < r < n:
@@ -261,9 +260,8 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
         emitted += 1
         yield emit(())
     reps: list[tuple[int, ...]] = [()]  # H as sorted index tuples
-    seen_exact: set[tuple[int, ...]] = {()}
+    classes = FamilyClasses()  # of the non-basis families
     while reps and emitted < limit:
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}  # non-basis masks
         next_reps: list[tuple[int, ...]] = []
         for H in reps:
             forbidden = 0
@@ -273,14 +271,8 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
                 if forbidden & (1 << v):
                     continue
                 H2 = tuple(sorted(H + (v,)))
-                if H2 in seen_exact:
+                if not classes.is_new(n, tuple(rsets[i] for i in H2)):
                     continue
-                seen_exact.add(H2)
-                masks2 = tuple(rsets[i] for i in H2)
-                bucket = buckets.setdefault(family_fingerprint(n, masks2), [])
-                if any(family_isomorphism(n, masks2, other) is not None for other in bucket):
-                    continue
-                bucket.append(masks2)
                 next_reps.append(H2)
                 emitted += 1
                 yield emit(H2)

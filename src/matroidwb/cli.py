@@ -15,9 +15,9 @@ import sys
 import time
 
 from . import io as wio
-from .analysis import neg_corr_all_pairs, nice_extension_report
+from .analysis import neg_corr_all_pairs, nice_extension_report, strong_rayleigh_verdict
 from .census import CHECKS, DEFAULT_C, FAMILY_PARAMS, CensusJob, run_census
-from .classifiers import positroid_verdict
+from .classifiers import bicircular_family, lpm_family, positroid_verdict, sparse_paving_family
 from .constructions import (
     MultiGraph,
     bicircular,
@@ -31,7 +31,7 @@ from .constructions import (
     uniform,
     whirl,
 )
-from .core import contract, delete, dual, relax, relabel_map, two_sum
+from .core import contract, delete, direct_sum, dual, relax, relabel_map, two_sum
 from .errors import MatroidError
 from .poly import basis_poly, rayleigh_diff
 from .verdicts import FAILS, HOLDS, INCONCLUSIVE, Verdict
@@ -212,10 +212,6 @@ def _as_strings(M) -> list[str]:
 
 
 def cmd_verify_paper(args) -> int:
-    import random
-
-    from .core import direct_sum
-
     failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):
@@ -227,8 +223,7 @@ def cmd_verify_paper(args) -> int:
         if not ok:
             failures += 1
 
-    L = lattice_path_pair_from_endpoints([1, 2, 5], [3, 5, 6])
-    M = lattice_path(L)
+    M = lattice_path(lattice_path_pair_from_endpoints([1, 2, 5], [3, 5, 6]))
     report("example-bases", _as_strings(M) == sorted(EXAMPLE_BASES))
 
     tr = principal_truncation(M, [6])
@@ -237,11 +232,13 @@ def cmd_verify_paper(args) -> int:
     ext = principal_extension(M, [6])
     report("example-extension", _as_strings(ext) == sorted(EXAMPLE_EXTENSION))
 
-    # loop invariance / coloop identities on seeded random matroids
-    rng = random.Random(7)
+    # loop invariance / coloop identities on the atlas, the sparse paving
+    # classes of rank 3 on 6 elements and the bicircular graphs of <= 4 edges
+    fixed = [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
+    fixed += sparse_paving_family(6, 3)
+    fixed += (Mb for _, Mb in bicircular_family(4))
     ok_loop = ok_coloop = True
-    for _ in range(20):
-        Mr = _random_matroid(rng, max_n=6)
+    for Mr in fixed:
         f = basis_poly(Mr)
         with_loop = direct_sum(Mr, uniform(0, 1))
         if basis_poly(with_loop).terms != f.terms:
@@ -255,7 +252,7 @@ def cmd_verify_paper(args) -> int:
             terms = rayleigh_diff(f, i, j).terms.items()
             if rayleigh_diff(g, i, j).terms != {(lin, sq | 1 << Mr.n): c for (lin, sq), c in terms}:
                 ok_coloop = False
-        if Mr.n >= 1 and not rayleigh_diff(g, e, 1).is_zero():
+        if not rayleigh_diff(g, e, 1).is_zero():
             ok_coloop = False
     report("loop-invariance", ok_loop)
     report("coloop-identities", ok_coloop)
@@ -269,15 +266,20 @@ def cmd_verify_paper(args) -> int:
     report("bicircular-not-positroid", positroid_verdict(bicircular(k4_loop)) is None)
 
     ok_lpm = True
-    from .classifiers import lpm_family
-
     for _, Mi in lpm_family(5):
         if positroid_verdict(Mi) is None:
             ok_lpm = False
             break
     report("lpm-positroid-orders", ok_lpm)
 
-    from .classifiers import sparse_paving_family
+    # every Rayleigh difference is nonnegative on real space with an exact
+    # certificate: Brändén's criterion for stability, and stability gives
+    # the half-plane property
+    report(
+        "lpm-stable-branden",
+        all(strong_rayleigh_verdict(basis_poly(Mi), None, budget=2000).holds
+            for _, Mi in lpm_family(5)),
+    )
 
     ok_sp = True
     for n, r in ((5, 2), (6, 3), (7, 3)):
@@ -304,29 +306,6 @@ def cmd_verify_paper(args) -> int:
 
     print(f"{'ALL FIXTURES PASS' if failures == 0 else f'{failures} FIXTURES FAILED'}")
     return 0 if failures == 0 else 3
-
-
-def _random_matroid(rng, max_n: int = 7):
-    """Small random matroid from a random family (used by fixtures)."""
-    from .classifiers import sparse_paving_family
-
-    kind = rng.randrange(3)
-    if kind == 0:
-        n = rng.randint(1, max_n)
-        k = rng.randint(0, n)
-        return uniform(k, n)
-    if kind == 1:
-        v = rng.randint(2, 4)
-        edges = []
-        for _ in range(rng.randint(1, min(6, max_n))):
-            a, b = rng.randint(1, v), rng.randint(1, v)
-            edges.append((a, b))
-        G = MultiGraph(v=v, edges=tuple(edges))
-        return graphic(G) if rng.random() < 0.5 else bicircular(G)
-    n = rng.randint(4, max_n)
-    r = rng.randint(2, n - 1)
-    members = list(sparse_paving_family(n, r, limit=8))
-    return members[rng.randrange(len(members))]
 
 
 # ---------------------------------------------------------------------------

@@ -235,14 +235,17 @@ def transversal(S: SetSystem) -> Matroid:
 
 
 def lattice_path(L: LatticePathPair) -> Matroid:
-    """Transversal matroid of the row intervals N_i = [l_i, u_i] on [m+r]."""
-    if L.r == 0:
-        # no North steps: rank-0 free of intervals; every element is a loop
-        return Matroid(L.size, [0])
-    family = tuple(
-        frozenset(range(l, u + 1)) for (l, u) in L.intervals()
-    )
-    return transversal(SetSystem(n=L.size, family=family))
+    """The lattice path matroid on [m+r]: its bases are the lattice paths
+    between the two bounding paths, the r-sets whose k-th smallest element
+    lies in the k-th row interval [l_k, u_k] (Bonin, de Mier and Noy, JCTA
+    104, 2003)."""
+    rows = L.intervals()
+    masks = [
+        mask_of(combo)
+        for combo in combinations(range(1, L.size + 1), L.r)
+        if all(l <= b <= u for b, (l, u) in zip(combo, rows))
+    ]
+    return Matroid(L.size, masks)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -70,7 +69,7 @@ class Matroid:
 
     __slots__ = (
         "n", "r", "basis_masks", "_basis_set",
-        "_indep", "_spanning", "_rank", "_circuits",
+        "_indep", "_spanning", "_rank",
     )
 
     def __init__(self, n: int, basis_masks: Iterable[int], validate: bool = True):
@@ -93,7 +92,6 @@ class Matroid:
         self._indep = None
         self._spanning = None
         self._rank = None
-        self._circuits = None
         if validate:
             self._check_exchange()
 
@@ -239,16 +237,12 @@ def closure(M: Matroid, S: Iterable[int] | int) -> frozenset[int]:
 def circuits(M: Matroid) -> CircuitSet:
     """All minimal dependent subsets (sizes are at most r+1): the dependent
     sets S with S - e independent for every e in S."""
-    if M._circuits is not None:
-        return M._circuits
     indep = M._indep_table()
     minimal = indep == 0
     for i in range(M.n):
         # the sets containing element i+1 against the same sets without it
         minimal.reshape(-1, 2, 1 << i)[:, 1, :] &= indep.reshape(-1, 2, 1 << i)[:, 0, :] == 1
-    cs = CircuitSet(M.n, tuple(np.flatnonzero(minimal).tolist()))
-    M._circuits = cs
-    return cs
+    return CircuitSet(M.n, tuple(np.flatnonzero(minimal).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +326,9 @@ def direct_sum(M: Matroid, N: Matroid) -> Matroid:
     return Matroid(M.n + N.n, masks)
 
 
-def is_loop(M: Matroid, e: int) -> bool:
-    bit = 1 << (e - 1)
-    return all(not (B & bit) for B in M.basis_masks)
-
-
-def is_coloop(M: Matroid, e: int) -> bool:
-    bit = 1 << (e - 1)
-    return all(B & bit for B in M.basis_masks)
-
-
 def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
-    """2-sum of M and N glued along basepoints p and q.
-
-    The circuit set of the result is C(M\\p) u C(N\\q) together with all
-    (C u D) - {p,q} for circuits C through p and D through q; bases are
-    rebuilt from the circuit-free subsets of size r(M)+r(N)-1.
+    """2-sum of M and N glued along basepoints p and q: the bases of
+    M/p (+) N\\q together with those of M\\p (+) N/q.
 
     Ground set: elements of M except p (relabelled 1..M.n-1), then elements
     of N except q.
@@ -355,26 +336,12 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
     if M.n < 2 or N.n < 2:
         raise BasepointIsSeparator("both parts need at least two elements")
     for (mat, e) in ((M, p), (N, q)):
-        if is_loop(mat, e) or is_coloop(mat, e):
+        # a loop lies in no basis, a coloop in every one
+        if not 0 < sum(B >> (e - 1) & 1 for B in mat.basis_masks) < len(mat.basis_masks):
             raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
-
-    pbit, qbit = 1 << (p - 1), 1 << (q - 1)
-    cm, cn = circuits(M).masks, circuits(N).masks
-    m_thru = _squeeze([c for c in cm if c & pbit], pbit)
-    n_thru = {d << (M.n - 1) for d in _squeeze([d for d in cn if d & qbit], qbit)}
-    circ = _squeeze([c for c in cm if not c & pbit], pbit)
-    circ |= {d << (M.n - 1) for d in _squeeze([d for d in cn if not d & qbit], qbit)}
-    circ |= {c | d for c in m_thru for d in n_thru}
-
-    n_tot = M.n + N.n - 2
-    r_tot = M.r + N.r - 1
-    clist = sorted(circ)
-    masks = []
-    for combo in combinations(range(1, n_tot + 1), r_tot):
-        mask = mask_of(combo)
-        if all(mask & c != c for c in clist):
-            masks.append(mask)
-    return Matroid(n_tot, masks)
+    masks = direct_sum(contract(M, [p]), delete(N, [q])).basis_masks
+    masks += direct_sum(delete(M, [p]), contract(N, [q])).basis_masks
+    return Matroid(M.n + N.n - 2, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +435,27 @@ def isomorphism(M: Matroid, N: Matroid) -> Optional[dict[int, int]]:
     return family_isomorphism(M.n, M.basis_masks, N.basis_masks)
 
 
-def is_isomorphic(M: Matroid, N: Matroid) -> bool:
-    return isomorphism(M, N) is not None
+class FamilyClasses:
+    """The isomorphism classes of the families of subsets met so far: a set of
+    exact repeats, then buckets by :func:`family_fingerprint` searched with
+    :func:`family_isomorphism`."""
+
+    def __init__(self):
+        self._seen: set[tuple[int, tuple[int, ...]]] = set()
+        self._buckets: dict[tuple, list[tuple[int, ...]]] = {}
+
+    def is_new(self, n: int, masks: tuple[int, ...]) -> bool:
+        """Whether the family of masks on [n] opens a class, which it then
+        represents."""
+        key = (n, masks)
+        if key in self._seen:
+            return False
+        self._seen.add(key)
+        bucket = self._buckets.setdefault(family_fingerprint(n, masks), [])
+        if any(family_isomorphism(n, masks, other) is not None for other in bucket):
+            return False
+        bucket.append(masks)
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Census orchestration: the CSV does not depend on the worker count, each
-check writes its own column, a bad check or family param is refused when the
-job is made, and each census cell is what `check --prop` prints without a
+check writes its own column and no two checks write one, a bad check or
+family param is refused when the job is made, a census resumes only a CSV of
+its own job, and each census cell is what `check --prop` prints without a
 pair."""
 import json
 import re
@@ -161,3 +162,86 @@ def test_each_census_cell_is_what_check_prints_without_a_pair(
             assert code == {"Holds": 0, "Fails": 1, "Inconclusive": 2}[outcome]
             expected = CLASSIFIER_CELLS.get(name, {outcome: outcome})[outcome]
             assert row[check.column] == expected, (row["id"], name)
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        (["c_rayleigh:1/2", "c_rayleigh:2"],
+         "checks 'c_rayleigh:1/2' and 'c_rayleigh:2' both fill column 'c_rayleigh_outcome'"),
+        (["c_rayleigh", "hpp", "c_rayleigh:8/7"],
+         "checks 'c_rayleigh' and 'c_rayleigh:8/7' both fill column 'c_rayleigh_outcome'"),
+        (["hpp", "hpp"], "checks 'hpp' and 'hpp' both fill column 'hpp_outcome'"),
+    ],
+)
+def test_two_checks_of_one_column_are_refused(tmp_path, checks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CensusJob(
+            family="sparse_paving", params={"n": 7, "r": 3}, checks=checks,
+            out_csv=str(tmp_path / "sp.csv"), witness_dir=str(tmp_path / "wit"),
+        )
+
+
+def test_census_command_refuses_two_c_rayleigh_checks(tmp_path, capsys):
+    out = tmp_path / "sp.csv"
+    argv = ["census", "--family", "sparse_paving", "--params", "n=7;r=3",
+            "--checks", "c_rayleigh:1/2,c_rayleigh:2", "--out", str(out),
+            "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 4
+    assert "both fill column 'c_rayleigh_outcome'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def lpm3_job(tmp_path, **changes):
+    fields = dict(
+        family="lpm", params={"max_total": 3}, checks=["negcorr", "c_rayleigh:2"],
+        seed=5, budget=2000, limit=1000,
+        out_csv=str(tmp_path / "lpm.csv"), witness_dir=str(tmp_path / "wit"),
+    )
+    fields.update(changes)
+    return CensusJob(**fields)
+
+
+def test_a_census_resumes_its_own_job(tmp_path):
+    full = run_census(lpm3_job(tmp_path))
+    written = (tmp_path / "lpm.csv").read_text()
+    assert json.loads((tmp_path / "lpm.csv.job.json").read_text()) == {
+        "family": "lpm", "params": {"max_total": 3},
+        "checks": [["negcorr", None], ["c_rayleigh", "2"]],
+        "seed": 5, "budget": 2000, "limit": 1000}
+    lines = written.splitlines(keepends=True)
+    (tmp_path / "lpm.csv").write_text("".join(lines[:3]))  # the header and two rows
+    resumed = run_census(lpm3_job(tmp_path, workers=2, witness_dir=str(tmp_path / "w2")))
+    assert resumed == full
+    assert (tmp_path / "lpm.csv").read_text() == written
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"family": "atlas", "params": {}}, "family"),
+        ({"params": {"max_total": 4}}, "params"),
+        ({"checks": ["negcorr", "c_rayleigh:1/2"]}, "checks"),
+        ({"checks": ["c_rayleigh:2", "negcorr"]}, "checks"),
+        ({"seed": 6}, "seed"),
+        ({"budget": 3000}, "budget"),
+        ({"limit": 4}, "limit"),
+    ],
+)
+def test_a_census_refuses_the_csv_of_another_job(tmp_path, changes, field):
+    run_census(lpm3_job(tmp_path))
+    written = (tmp_path / "lpm.csv").read_bytes()
+    with pytest.raises(ValueError, match=rf"lpm\.csv holds another job: its {field} is "):
+        run_census(lpm3_job(tmp_path, **changes))
+    assert (tmp_path / "lpm.csv").read_bytes() == written
+
+
+def test_a_census_refuses_a_csv_without_its_job_file(tmp_path, capsys):
+    run_census(lpm3_job(tmp_path))
+    (tmp_path / "lpm.csv.job.json").unlink()
+    with pytest.raises(ValueError, match="so its job is unknown"):
+        run_census(lpm3_job(tmp_path))
+    argv = ["census", "--family", "lpm", "--params", "max_total=3", "--checks", "negcorr",
+            "--out", str(tmp_path / "lpm.csv"), "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 4
+    assert "so its job is unknown" in capsys.readouterr().err

@@ -277,8 +277,9 @@ class TestCli:
         assert main(["verify-paper"]) == 0
         lines = capsys.readouterr().out.splitlines()
         passed = [line for line in lines if line.startswith("PASS")]
-        assert len(passed) == 12
+        assert len(passed) == 13
         assert "PASS  bicircular-not-positroid" in passed
+        assert "PASS  lpm-stable-branden" in passed
 
 
 def test_census_negcorr_and_balanced_columns(tmp_path):

@@ -14,7 +14,6 @@ from matroidwb.core import (
     dual,
     from_bases,
     is_connected,
-    is_isomorphic,
     isomorphism,
     mask_of,
     popcount,
@@ -273,16 +272,16 @@ class TestIsomorphism:
     def test_relabelled_uniform(self):
         M = uniform(2, 4)
         N = from_bases(4, [[3, 4], [2, 4], [1, 4], [2, 3], [1, 3], [1, 2]])
-        assert is_isomorphic(M, N)
+        assert isomorphism(M, N) is not None
 
     def test_distinguishes_counts(self):
         from matroidwb.constructions import MultiGraph
 
         cycle4 = graphic(MultiGraph(v=4, edges=((1, 2), (2, 3), (3, 4), (4, 1))))
-        assert not is_isomorphic(uniform(2, 4), cycle4)
+        assert isomorphism(uniform(2, 4), cycle4) is None
 
     def test_whirl_vs_mk4(self):
-        assert not is_isomorphic(whirl(3), graphic(k4()))
+        assert isomorphism(whirl(3), graphic(k4())) is None
         assert len(whirl(3).basis_masks) == 17
         assert len(graphic(k4()).basis_masks) == 16
 
@@ -340,7 +339,7 @@ def test_a_negative_mask_is_refused(op):
 class TestRelax:
     def test_k4_rim_gives_whirl(self):
         W = relax(graphic(k4()), [4, 5, 6])
-        assert is_isomorphic(W, whirl(3))
+        assert isomorphism(W, whirl(3)) is not None
 
     def test_relax_to_uniform(self):
         # remove one basis from U(2,4), relax it back

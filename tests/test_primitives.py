@@ -9,12 +9,16 @@ one count of pair degrees against a neg_corr call per pair, the one-pass
 Rayleigh difference against term-dict arithmetic over the pair
 decomposition, the search's term arrays from the term-key masks
 against the loop over the terms, the integer Gram elimination against the
-Fraction LDL^T it replaced, and the uniform Gram over (P, Q) factors against
-the exponent-vector Gram it replaced."""
+Fraction LDL^T it replaced, the uniform Gram over (P, Q) factors against
+the exponent-vector Gram it replaced, lattice path matroids from their paths
+against the transversal route, 2-sums from minors against the circuit
+gluing, and the one isomorphism-class stream against the two loops it
+replaced."""
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 from math import lcm
 from operator import xor
 from typing import Optional
@@ -22,7 +26,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from matroidwb import sos, verdicts
+from matroidwb import core, sos, verdicts
 from matroidwb.analysis import (
     _minor_reps,
     _term_arrays,
@@ -46,17 +50,23 @@ from matroidwb.constructions import (
     uniform,
 )
 from matroidwb.core import (
+    FamilyClasses,
     Matroid,
+    _squeeze,
+    circuits,
     contract,
     delete,
     direct_sum,
     elements,
     family_fingerprint,
     family_isomorphism,
-    is_isomorphic,
+    isomorphism,
     mask_of,
     popcount,
+    set_of,
+    two_sum,
 )
+from matroidwb.errors import BasepointIsSeparator
 from matroidwb.poly import BoundedPoly, basis_poly, pair_decomposition, rayleigh_diff
 from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG
 
@@ -406,7 +416,7 @@ def test_bicircular_family_5_is_174_graphs_in_33_classes():
     classes = []
     for M in matroids:
         bucket = buckets.setdefault(family_fingerprint(M.n, M.basis_masks), [])
-        if not any(is_isomorphic(M, other) for other in bucket):
+        if not any(isomorphism(M, other) is not None for other in bucket):
             bucket.append(M)
             classes.append(M)
     assert len(classes) == 33
@@ -940,3 +950,213 @@ def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle
                     for a, row in zip(basis, m) for b, q in zip(basis, row)} == ref
             assert cert.scale == lcm(*(q.denominator for q in ref.values()))
     assert accepted > 100 and len(calls) - accepted > 10
+
+
+# ---------------------------------------------------------------------------
+# lattice path matroids from their paths, 2-sums from minors, one class stream
+
+
+def transversal_route_lattice_path(L):
+    """The lattice path matroid as the transversal matroid of its row
+    intervals, one matching per r-subset."""
+    if L.r == 0:
+        return Matroid(L.size, [0])
+    family = tuple(frozenset(range(l, u + 1)) for l, u in L.intervals())
+    return transversal(SetSystem(n=L.size, family=family))
+
+
+def test_lattice_path_matches_the_transversal_route_on_every_lpm8_presentation():
+    count = 0
+    for L, M in lpm_family(8):
+        assert M.basis_masks == transversal_route_lattice_path(L).basis_masks, (L.p, L.q)
+        count += 1
+    assert count == 6916
+
+
+def circuit_gluing_two_sum(M, p, N, q):
+    """The 2-sum from its circuits: those of M\\p and N\\q and (C u D) - {p, q}
+    for circuits C through p and D through q, with the bases found among all
+    (r(M) + r(N) - 1)-subsets as the circuit-free ones."""
+    if M.n < 2 or N.n < 2:
+        raise BasepointIsSeparator("both parts need at least two elements")
+    for mat, e in ((M, p), (N, q)):
+        bit = 1 << (e - 1)
+        if all(not B & bit for B in mat.basis_masks) or all(B & bit for B in mat.basis_masks):
+            raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
+    pbit, qbit = 1 << (p - 1), 1 << (q - 1)
+    cm, cn = circuits(M).masks, circuits(N).masks
+    m_thru = _squeeze([c for c in cm if c & pbit], pbit)
+    n_thru = {d << (M.n - 1) for d in _squeeze([d for d in cn if d & qbit], qbit)}
+    circ = _squeeze([c for c in cm if not c & pbit], pbit)
+    circ |= {d << (M.n - 1) for d in _squeeze([d for d in cn if not d & qbit], qbit)}
+    circ |= {c | d for c in m_thru for d in n_thru}
+    n_tot, r_tot = M.n + N.n - 2, M.r + N.r - 1
+    masks = [
+        mask_of(combo) for combo in combinations(range(1, n_tot + 1), r_tot)
+        if all(mask_of(combo) & c != c for c in circ)
+    ]
+    return Matroid(n_tot, masks)
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc)
+
+
+def two_sum_pool():
+    pool = [uniform(k, n) for n in range(0, 6) for k in range(0, n + 1)]
+    pool += [named_atlas(name) for name in ATLAS]
+    pool += [M for _, M in bicircular_family(5)]
+    pool += sparse_paving_family(6, 3)
+    pool += [M for _, M in lpm_family(5)]
+    return pool
+
+
+def separators(M):
+    """The loops and coloops of M."""
+    return [e for e in range(1, M.n + 1)
+            if sum(B >> (e - 1) & 1 for B in M.basis_masks) in (0, len(M.basis_masks))]
+
+
+def basepoint(rng, M):
+    """Any element one time in three, otherwise one that is neither a loop nor
+    a coloop when M has one."""
+    proper = [e for e in range(1, M.n + 1) if e not in separators(M)]
+    return rng.choice(proper) if proper and rng.random() < 2 / 3 else rng.randint(1, max(M.n, 1))
+
+
+def test_two_sum_matches_the_circuit_gluing_on_random_pairs():
+    rng = random.Random(16)
+    pool = two_sum_pool()
+    kinds = Counter()
+    while sum(kinds.values()) < 945:
+        M, N = rng.choice(pool), rng.choice(pool)
+        if M.n + N.n - 2 > 12:
+            continue
+        p, q = basepoint(rng, M), basepoint(rng, N)
+        got = outcome_of(two_sum, M, p, N, q)
+        assert got == outcome_of(circuit_gluing_two_sum, M, p, N, q), (M, p, N, q)
+        kinds[got if isinstance(got, type) else "sum",
+              min(M.n, N.n) < 2 or p in separators(M) or q in separators(N)] += 1
+    assert set(kinds) == {("sum", False), (BasepointIsSeparator, True)}
+    assert min(kinds.values()) > 300
+
+
+def parent_minor_reps(M):
+    """The minor stream with its own exact-repeat set, fingerprint buckets and
+    isomorphism scan."""
+    seen_exact = set()
+    buckets = {}
+    for kc in range(0, M.r + 1):
+        for I in combinations(range(1, M.n + 1), kc):
+            if I and not M.is_independent(I):
+                continue
+            M1 = contract(M, I) if I else M
+            for kd in range(0, M1.n - 1):
+                for D in combinations(range(1, M1.n + 1), kd):
+                    M2 = delete(M1, D) if D else M1
+                    key = (M2.n, M2.basis_masks)
+                    if key in seen_exact:
+                        continue
+                    seen_exact.add(key)
+                    bucket = buckets.setdefault(family_fingerprint(M2.n, M2.basis_masks), [])
+                    if any(isomorphism(M2, other) is not None for other in bucket):
+                        continue
+                    bucket.append(M2)
+                    yield M2, set_of(mask_of(I)), set_of(mask_of(D))
+
+
+def parent_sparse_paving_family(n, r, limit=1000):
+    """The sparse paving stream with its own per-level buckets and
+    exact-repeat set of index tuples."""
+    rsets = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    nr = len(rsets)
+    conflict = [0] * nr
+    for i in range(nr):
+        for j in range(nr):
+            if i != j and popcount(rsets[i] ^ rsets[j]) == 2:
+                conflict[i] |= 1 << j
+
+    def emit(H_idx):
+        gone = {rsets[i] for i in H_idx}
+        return Matroid(n, [m for m in rsets if m not in gone])
+
+    emitted = 1
+    yield emit(())
+    reps, seen_exact = [()], {()}
+    while reps and emitted < limit:
+        buckets, next_reps = {}, []
+        for H in reps:
+            forbidden = 0
+            for i in H:
+                forbidden |= conflict[i] | (1 << i)
+            for v in range(nr):
+                if forbidden & (1 << v):
+                    continue
+                H2 = tuple(sorted(H + (v,)))
+                if H2 in seen_exact:
+                    continue
+                seen_exact.add(H2)
+                masks2 = tuple(rsets[i] for i in H2)
+                bucket = buckets.setdefault(family_fingerprint(n, masks2), [])
+                if any(core.family_isomorphism(n, masks2, other) is not None for other in bucket):
+                    continue
+                bucket.append(masks2)
+                next_reps.append(H2)
+                emitted += 1
+                yield emit(H2)
+                if emitted >= limit:
+                    return
+        reps = next_reps
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Counts the calls of the family isomorphism search, which the class
+    stream and the parent loops both reach through the core module."""
+    calls = Counter()
+    search = core.family_isomorphism
+
+    def counted(n, A, B):
+        calls["search"] += 1
+        return search(n, A, B)
+
+    monkeypatch.setattr(core, "family_isomorphism", counted)
+    return calls
+
+
+def test_minor_reps_match_the_parent_stream(searches):
+    matroids = list(islice(sparse_paving_family(8, 4), 12))
+    matroids += [M for _, M in islice(bicircular_family(5), 60)]
+    matroids += [named_atlas(name) for name in ATLAS]
+    total = 0
+    for M in matroids:
+        searches.clear()
+        new = list(_minor_reps(M))
+        calls = searches.pop("search", 0)
+        assert new == list(parent_minor_reps(M))
+        assert calls == searches["search"], M
+        total += calls
+    assert total > 900
+
+
+@pytest.mark.parametrize("n, r", [(5, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4)])
+def test_sparse_paving_family_matches_the_parent_stream(searches, n, r):
+    new = list(sparse_paving_family(n, r, limit=300))
+    calls = searches.pop("search", 0)
+    assert new == list(parent_sparse_paving_family(n, r, limit=300))
+    assert calls == searches["search"] > 0
+
+
+def test_an_exact_repeat_is_not_searched(searches):
+    classes = FamilyClasses()
+    assert classes.is_new(4, (0b0011, 0b0101))
+    assert not classes.is_new(4, (0b0011, 0b0101))
+    assert searches["search"] == 0
+    assert not classes.is_new(4, (0b0011, 0b1001))  # an isomorphic copy
+    assert searches["search"] == 1
+    assert classes.is_new(4, (0b0011, 0b1100))  # other degrees: no search
+    assert classes.is_new(4, (0b0011, 0b0101, 0b0110))
+    assert searches["search"] == 1
