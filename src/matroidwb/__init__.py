@@ -55,7 +55,6 @@ from .analysis import (
     neg_corr,
     neg_corr_all_pairs,
     nice_extension_report,
-    nice_extension_weights,
     rayleigh_verdict,
     strong_rayleigh_verdict,
     wagner_pair,

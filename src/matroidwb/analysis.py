@@ -471,23 +471,14 @@ def nice_extension_system(M: Matroid, F: Iterable[int]):
     return fel, tr, rows
 
 
-def nice_extension_weights(M: Matroid, F: Iterable[int]) -> Optional[dict[int, Fraction]]:
-    """One nonnegative weight assignment making the extension nice, or None."""
-    fel, _, rows = nice_extension_system(M, F)
-    b = [Fraction(1)] * len(rows)
-    sol = solve_eq_nonneg(rows, b)
-    if sol is None:
-        return None
-    return dict(zip(fel, sol))
-
-
 def nice_extension_report(M: Matroid, F: Iterable[int]) -> dict:
     """Facts about the weight system: whether the uniform choice works and
     whether any nonnegative solution exists (with one solution if so)."""
     fel, tr, rows = nice_extension_system(M, F)
     uniform = Fraction(1, len(fel))
     uniform_ok = all(sum(row) * uniform == 1 for row in rows)
-    sol = nice_extension_weights(M, F)
+    sol = solve_eq_nonneg(rows, [Fraction(1)] * len(rows))
+    sol = None if sol is None else dict(zip(fel, sol))
     verified = sol is not None and all(
         sum(row[k] * sol[fe] for k, fe in enumerate(fel)) == 1 for row in rows
     )

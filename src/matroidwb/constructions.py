@@ -125,7 +125,7 @@ def lattice_path_pair_from_endpoints(
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching (used by transversal matroids)
+# bipartite matching (used by transversal and bicircular matroids)
 
 
 def _matcher(adj: dict[int, Sequence[int]]) -> Callable[[int], bool]:
@@ -161,64 +161,42 @@ def uniform(k: int, n: int) -> Matroid:
 
 
 def graphic(G: MultiGraph) -> Matroid:
-    """Cycle matroid: bases are the maximal spanning forests of G, the edge
-    sets with fewer edges than vertices in every component."""
-    rank = sum(len(verts) - 1 for verts, _ in _graph_components(G, range(1, G.e + 1)))
-    return _component_bounded(G, rank, 0)
+    """Cycle matroid: bases are the maximal spanning forests of G, the
+    rank-sized edge sets that keep the full rank."""
+    rank = _cycle_rank(G, range(1, G.e + 1))
+    combos = combinations(range(1, G.e + 1), rank)
+    return Matroid(G.e, (mask_of(c) for c in combos if _cycle_rank(G, c) == rank))
 
 
-def _graph_components(G: MultiGraph, edge_ids: Iterable[int]) -> list[tuple[set[int], int]]:
-    """Components of the edge-induced subgraph: (vertex set, edge count) pairs.
-
-    Isolated vertices of G are ignored unless edge_ids covers the full graph,
-    in which case every vertex forms part of some component.
-    """
-    ids = list(edge_ids)
+def _cycle_rank(G: MultiGraph, edge_ids: Iterable[int]) -> int:
+    """The rank of an edge set in the cycle matroid: the number of its edges
+    that join two trees of the forest grown so far (union-find)."""
     parent = list(range(G.v + 1))
 
     def find(x):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    touched = set()
-    full = len(ids) == G.e
-    for i in ids:
+    rank = 0
+    for i in edge_ids:
         a, b = G.edges[i - 1]
-        touched.update((a, b))
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    if full:
-        touched = set(range(1, G.v + 1))
-    groups: dict[int, set[int]] = {}
-    for x in touched:
-        groups.setdefault(find(x), set()).add(x)
-    counts = {root: 0 for root in groups}
-    for i in ids:
-        counts[find(G.edges[i - 1][0])] += 1
-    return [(groups[root], counts[root]) for root in groups]
+            rank += 1
+    return rank
 
 
 def bicircular(G: MultiGraph) -> Matroid:
     """Bicircular matroid: a set of edges is independent when every component
     of the edge-induced subgraph has at most one cycle (a loop is a cycle),
-    that is no more edges than vertices."""
-    rank = 0
-    for verts, ecount in _graph_components(G, range(1, G.e + 1)):
-        rank += min(ecount, len(verts))
-    return _component_bounded(G, rank, 1)
-
-
-def _component_bounded(G: MultiGraph, rank: int, slack: int) -> Matroid:
-    """The matroid on G's edges whose bases are the rank-sized edge sets with
-    fewer than |V(K)| + slack edges in every component K they induce."""
-    masks = []
-    for combo in combinations(range(1, G.e + 1), rank):
-        if all(ecount < len(verts) + slack for verts, ecount in _graph_components(G, combo)):
-            masks.append(mask_of(combo))
-    return Matroid(G.e, masks)
+    that is when each edge can take a distinct end of its own.  So it is the
+    transversal matroid of the vertices' incidence sets, a loop incident
+    with its one vertex (Matthews, Quart. J. Math. Oxford 28, 1977)."""
+    return transversal(SetSystem(G.e, tuple(
+        frozenset(i for i, edge in enumerate(G.edges, 1) if v in edge)
+        for v in range(1, G.v + 1))))
 
 
 def transversal(S: SetSystem) -> Matroid:

@@ -336,8 +336,9 @@ def two_sum(M: Matroid, p: int, N: Matroid, q: int) -> Matroid:
     if M.n < 2 or N.n < 2:
         raise BasepointIsSeparator("both parts need at least two elements")
     for (mat, e) in ((M, p), (N, q)):
+        bit = _ground_mask(mat, [e])
         # a loop lies in no basis, a coloop in every one
-        if not 0 < sum(B >> (e - 1) & 1 for B in mat.basis_masks) < len(mat.basis_masks):
+        if not 0 < sum(1 for B in mat.basis_masks if B & bit) < len(mat.basis_masks):
             raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
     masks = direct_sum(contract(M, [p]), delete(N, [q])).basis_masks
     masks += direct_sum(delete(M, [p]), contract(N, [q])).basis_masks

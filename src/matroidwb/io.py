@@ -182,8 +182,6 @@ def verdict_to_json(
         w = {"value": _frac_str(v.witness.value)}
         if v.witness.point is not None:
             w["point"] = [_frac_str(x) for x in v.witness.point]
-        if v.witness.extra:
-            w.update({k: v2 for k, v2 in v.witness.extra.items()})
         out["witness"] = w
     if seed is not None:
         out["seed"] = seed

@@ -22,12 +22,10 @@ SINGLE_PAIR_WAGNER = "SinglePairWagner"
 
 @dataclass(frozen=True)
 class Witness:
-    """An exactly-verified refutation: a rational point with negative value,
-    or structured data (in `extra`) for combinatorial failures."""
+    """An exactly-verified refutation: a rational point with negative value."""
 
     value: Fraction
     point: Optional[tuple[Fraction, ...]] = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

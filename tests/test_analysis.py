@@ -1,5 +1,6 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
-the pinned sparse-paving census, the float search and its refinement."""
+the pinned sparse-paving census, the float search and its refinement, and
+the nice principal-extension weights of the paper's example."""
 import os
 import subprocess
 import sys
@@ -12,10 +13,15 @@ import numpy as np
 import pytest
 
 import matroidwb
-from matroidwb import analysis
+from matroidwb import analysis, constructions
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import sparse_paving_family
-from matroidwb.constructions import principal_extension, uniform
+from matroidwb.constructions import (
+    lattice_path,
+    lattice_path_pair_from_endpoints,
+    principal_extension,
+    uniform,
+)
 from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
@@ -260,7 +266,7 @@ def test_verdicts_do_not_import_scipy(sp73):
     code = f"""
 import sys
 import matroidwb
-from matroidwb import analysis
+from matroidwb import analysis, constructions
 from matroidwb.census import _instance_seed
 calls = []
 refine = analysis._local_refine
@@ -277,3 +283,45 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# the paper's example M[125, 356]: no nonnegative weights on F = [6] make the
+# principal extension nice, while F = {6} has the weight 1
+
+
+@pytest.fixture(scope="module")
+def paper_lpm():
+    return lattice_path(lattice_path_pair_from_endpoints([1, 2, 5], [3, 5, 6]))
+
+
+def test_nice_extension_on_the_whole_ground_set_is_infeasible(paper_lpm):
+    fel, tr, rows = analysis.nice_extension_system(paper_lpm, range(1, 7))
+    assert fel == [1, 2, 3, 4, 5, 6] and len(rows) == len(tr.basis_masks) == 15
+    assert any(sum(row) != 6 for row in rows)
+    rep = analysis.nice_extension_report(paper_lpm, range(1, 7))
+    assert rep["uniform_weight"] == Fraction(1, 6) and rep["uniform_satisfies"] is False
+    assert rep["feasible"] is False and rep["solution"] is None
+    assert rep["solution_verified"] is False
+
+
+def test_nice_extension_on_the_last_element_has_weights_that_satisfy_every_row(paper_lpm):
+    fel, tr, rows = analysis.nice_extension_system(paper_lpm, [6])
+    rep = analysis.nice_extension_report(paper_lpm, [6])
+    assert rep["feasible"] and rep["solution_verified"]
+    assert rep["solution"] == {6: 1} and rows == [[1]] * 9
+    assert rep["truncation_bases"] == len(tr.basis_masks) == 9
+
+
+@pytest.mark.parametrize("F", [[7], [0, 6], [-1]])
+def test_nice_extension_refuses_an_element_outside_the_ground_set(paper_lpm, F):
+    with pytest.raises(ValueError, match="is not in the ground set 1..6"):
+        analysis.nice_extension_report(paper_lpm, F)
+
+
+def test_a_nice_extension_report_builds_one_truncation(paper_lpm, monkeypatch):
+    calls = []
+    truncation = constructions.principal_truncation
+    monkeypatch.setattr(
+        constructions, "principal_truncation", lambda M, F: calls.append(F) or truncation(M, F))
+    analysis.nice_extension_report(paper_lpm, range(1, 7))
+    assert len(calls) == 1

@@ -4,7 +4,8 @@ that ignore it, the basis polynomial is built only for the checks that read
 it, strong_rayleigh without a pair has an answer when no pair lies in a
 common basis, c must be a positive rational, `--out` gets the printed JSON
 for every check, and `poly --rayleigh` and `construct minor`, `extension`,
-`truncation` and `relax` refuse an element outside the ground set."""
+`truncation` and `relax` refuse an element outside the ground set, and
+`construct 2sum` a basepoint outside it."""
 import json
 
 import pytest
@@ -126,3 +127,12 @@ def test_set_with_an_element_outside_the_ground_set_is_an_error(tmp_path, kind, 
     assert main(["construct", kind, "--in", str(path), "--set", "1,9"]) == 4
     captured = capsys.readouterr()
     assert "element 9 is not in the ground set 1..3" in captured.err and captured.out == ""
+
+
+def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):
+    path = tmp_path / "m3.txt"
+    path.write_text(format_matroid(uniform(2, 3)))
+    args = ["construct", "2sum", "--in", str(path), "--p", "0", "--in2", str(path), "--q", "1"]
+    assert main(args) == 4
+    captured = capsys.readouterr()
+    assert "element 0 is not in the ground set 1..3" in captured.err and captured.out == ""

@@ -258,6 +258,12 @@ class TestSums:
         with pytest.raises(BasepointIsSeparator):
             two_sum(uniform(2, 2), 1, uniform(2, 3), 1)
 
+    @pytest.mark.parametrize("p, q, bad, n", [
+        (0, 1, 0, 3), (-1, 1, -1, 3), (4, 1, 4, 3), (1, 0, 0, 4), (1, -1, -1, 4), (1, 5, 5, 4)])
+    def test_two_sum_basepoint_outside_the_ground_set_is_refused(self, p, q, bad, n):
+        with pytest.raises(ValueError, match=rf"^element {bad} is not in the ground set 1\.\.{n}$"):
+            two_sum(uniform(2, 3), p, uniform(2, 4), q)
+
     def test_two_sum_circuits_roundtrip(self):
         # rebuild circuits of the 2-sum and compare with the gluing formula
         M = graphic(k4())

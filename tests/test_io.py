@@ -1,11 +1,22 @@
-"""Text formats: matroid files round-trip, rank 0 included, and a token that
-is not an integer is a parse error that names its line."""
+"""Text formats: matroid files round-trip, rank 0 included, a token that is
+not an integer is a parse error that names its line, and a Fails witness
+is written as its value and its point."""
+from fractions import Fraction
+
 import pytest
 
 from matroidwb.constructions import named_atlas, uniform
 from matroidwb.core import from_bases
 from matroidwb.errors import EmptyBases
-from matroidwb.io import ParseError, format_matroid, parse_graph, parse_matroid, parse_setsystem
+from matroidwb.io import (
+    ParseError,
+    format_matroid,
+    parse_graph,
+    parse_matroid,
+    parse_setsystem,
+    verdict_to_json,
+)
+from matroidwb.verdicts import Witness, fails
 
 
 @pytest.mark.parametrize(
@@ -66,3 +77,9 @@ def test_construct_reports_the_bad_edge_line(tmp_path, capsys):
     path.write_text("graph 2 2\n1 2\n1 two\n")
     assert main(["construct", "graphic", "--in", str(path)]) == 4
     assert "line 3: expected integers, got '1 two'" in capsys.readouterr().err
+
+
+def test_a_fails_witness_is_its_value_and_its_point():
+    v = fails(Witness(Fraction(-1, 3), (Fraction(1), Fraction(1, 2))), pair=(1, 2))
+    out = verdict_to_json(v, "rayleigh", "m")
+    assert out["witness"] == {"value": "-1/3", "point": ["1", "1/2"]}

@@ -1,19 +1,20 @@
 """One implementation per primitive, against the implementations it replaced:
 the family isomorphism search and fingerprint against the subset-family
-search of the sparse-paving enumeration, forests from the component count
-against a forest union-find, the transversal rank and basis test from one
-augmenting-path routine against two matchers, the c-Rayleigh difference
-of the one pass against the expanded formula and against c times the
-Rayleigh difference plus (c - 1) f_ij f, all-pairs negative correlation from
-one count of pair degrees against a neg_corr call per pair, the one-pass
-Rayleigh difference against term-dict arithmetic over the pair
-decomposition, the search's term arrays from the term-key masks
-against the loop over the terms, the integer Gram elimination against the
-Fraction LDL^T it replaced, the uniform Gram over (P, Q) factors against
-the exponent-vector Gram it replaced, lattice path matroids from their paths
-against the transversal route, 2-sums from minors against the circuit
-gluing, and the one isomorphism-class stream against the two loops it
-replaced."""
+search of the sparse-paving enumeration, graphic matroids from the cycle
+rank against a forest union-find, bicircular matroids from the vertices'
+incidence sets against a count of edges and vertices per component, the
+transversal rank and basis test from one augmenting-path routine against
+two matchers, the c-Rayleigh difference of the one pass against the
+expanded formula and against c times the Rayleigh difference plus
+(c - 1) f_ij f, all-pairs negative correlation from one count of pair
+degrees against a neg_corr call per pair, the one-pass Rayleigh difference
+against term-dict arithmetic over the pair decomposition, the search's term
+arrays from the term-key masks against the loop over the terms, the integer
+Gram elimination against the Fraction LDL^T it replaced, the uniform Gram
+over (P, Q) factors against the exponent-vector Gram it replaced, lattice
+path matroids from their paths against the transversal route, 2-sums from
+minors against the circuit gluing, and the one isomorphism-class stream
+against the two loops it replaced."""
 import random
 from collections import Counter
 from fractions import Fraction
@@ -40,10 +41,10 @@ from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_f
 from matroidwb.constructions import (
     MultiGraph,
     SetSystem,
-    _graph_components,
     bicircular,
     graphic,
     k4,
+    k33,
     named_atlas,
     principal_extension,
     transversal,
@@ -152,17 +153,36 @@ def is_forest(G, edge_ids):
     return True
 
 
+def components(G, edge_ids):
+    """(vertex count, edge count) of each component of the graph on all of
+    G's vertices with the edges edge_ids."""
+    parent = list(range(G.v + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in edge_ids:
+        a, b = G.edges[i - 1]
+        parent[find(a)] = find(b)
+    verts = Counter(find(x) for x in range(1, G.v + 1))
+    edges = Counter(find(G.edges[i - 1][0]) for i in edge_ids)
+    return [(verts[root], edges[root]) for root in verts]
+
+
 def reference_graphic(G):
-    rank = G.v - len(_graph_components(G, range(1, G.e + 1)))
+    rank = G.v - len(components(G, range(1, G.e + 1)))
     return Matroid(
         G.e, [mask_of(c) for c in combinations(range(1, G.e + 1), rank) if is_forest(G, c)])
 
 
 def reference_bicircular(G):
-    rank = sum(min(ec, len(vs)) for vs, ec in _graph_components(G, range(1, G.e + 1)))
+    """The edge sets with no more edges than vertices in every component."""
+    rank = sum(min(ec, vc) for vc, ec in components(G, range(1, G.e + 1)))
     return Matroid(G.e, [
         mask_of(c) for c in combinations(range(1, G.e + 1), rank)
-        if all(ec <= len(vs) for vs, ec in _graph_components(G, c))
+        if all(ec <= vc for vc, ec in components(G, c))
     ])
 
 
@@ -438,13 +458,21 @@ def random_graphs(seed, count=200, max_v=5, max_e=8):
     return out
 
 
-def test_graphic_matches_forest_union_find():
-    for G in random_graphs(41):
+@pytest.fixture(scope="module")
+def named_graphs():
+    """Every graph of bicircular_family(6) and the graphs of the atlas: K4,
+    K3,3 and the 3-whirl's triangle with a loop at each vertex."""
+    whirl3 = MultiGraph(v=3, edges=((1, 2), (2, 3), (3, 1), (1, 1), (2, 2), (3, 3)))
+    return [G for G, _ in bicircular_family(6)] + [k4(), k33(), whirl3]
+
+
+def test_graphic_matches_forest_union_find(named_graphs):
+    for G in random_graphs(41) + named_graphs:
         assert graphic(G) == reference_graphic(G)
 
 
-def test_bicircular_matches_reference():
-    for G in random_graphs(43):
+def test_bicircular_matches_reference(named_graphs):
+    for G in random_graphs(43) + named_graphs:
         assert bicircular(G) == reference_bicircular(G)
 
 

@@ -2,16 +2,18 @@
 layer function and family generator exists, every workload check runs, one
 seed-0 pass of each workload keeps its outcome table, and the tracer
 installs and restores its wrappers.  The benchmark modules are
-read from their files and left as they are.  Also three lints the repository
+read from their files and left as they are.  Also four lints the repository
 has no tool for: no library or test module imports a name it never uses,
 every private function, class and method of the library is read somewhere in
-it outside its own body, and every public function, class, method and
-property of the library is read by the library (the CLI included, the
-package's re-exports not) or by the benchmark."""
+it outside its own body, every helper function and class of the tests is
+read somewhere in them outside its own body, and every public function,
+class, method and property of the library is read by the library (the CLI
+included, the package's re-exports not) or by the benchmark."""
 import ast
 import importlib.util
 import sys
 from collections import Counter, defaultdict
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -172,16 +174,21 @@ def _reads(node: ast.AST) -> Counter:
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))
 
 
-def dead_helpers(sources: dict[str, str]) -> list[str]:
-    """`module:name` for every private definition that the modules read
-    nowhere outside the definition's own body."""
+def unread(sources: dict[str, str], definitions, outside: Counter = None) -> list[str]:
+    """`module:name` for every definition that `definitions(tree)` yields for
+    a module, read nowhere in the modules outside its own body and not
+    counted in `outside`."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    reads = sum((_reads(tree) for tree in trees.values()), Counter(outside))
     return sorted(
         f"{module}:{d.name}"
         for module, tree in trees.items()
-        for d in _definitions(tree, private=True)
+        for d in definitions(tree)
         if reads[d.name] - _reads(d)[d.name] <= 0)
+
+
+PRIVATE = partial(_definitions, private=True)
+PUBLIC = partial(_definitions, private=False)
 
 
 def test_dead_helpers_finds_an_unread_helper():
@@ -189,12 +196,35 @@ def test_dead_helpers_finds_an_unread_helper():
         "def _used():\n    return 1\n"
         "def _recursive(k):\n    return _recursive(k - 1)\n"
         "class C:\n    def _m(self):\n        return _used()\n    def __len__(self):\n        return 0\n")
-    assert dead_helpers({"a.py": src, "b.py": "import a\n"}) == ["a.py:_m", "a.py:_recursive"]
+    assert unread({"a.py": src, "b.py": "import a\n"}, PRIVATE) == ["a.py:_m", "a.py:_recursive"]
 
 
 def test_every_private_library_helper_is_read():
     sources = {p.name: p.read_text() for p in LIBRARY.glob("*.py")}
-    assert dead_helpers(sources) == []
+    assert unread(sources, PRIVATE) == []
+
+
+def _test_helpers(tree: ast.Module):
+    """The top-level functions and classes of a test module that are not
+    tests, `Test*` classes or fixtures."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("Test"):
+            yield node
+        if (isinstance(node, ast.FunctionDef) and not node.name.startswith("test")
+                and not any("fixture" in ast.unparse(d) for d in node.decorator_list)):
+            yield node
+
+
+def test_every_test_helper_is_read():
+    src = (
+        "import pytest\n"
+        "def reference(k):\n    return reference(k - 1)\n"
+        "def used():\n    return 1\n"
+        "@pytest.fixture\ndef data():\n    return used()\n"
+        "class Leftover:\n    pass\n"
+        "class TestThing:\n    def test_it(self, data):\n        assert data\n")
+    assert unread({"a.py": src}, _test_helpers) == ["a.py:Leftover", "a.py:reference"]
+    assert unread({p.name: p.read_text() for p in TESTS.glob("*.py")}, _test_helpers) == []
 
 
 # lpm_recursive_build builds every lattice path matroid from loops, coloops
@@ -203,32 +233,18 @@ def test_every_private_library_helper_is_read():
 UNREAD_PUBLIC_NAMES = ["constructions.py:lpm_recursive_build"]
 
 
-def unread_public_names(sources: dict[str, str], outside: Counter) -> list[str]:
-    """`module:name` for every public top-level function and class, and every
-    public method and property of a class, that the modules read nowhere
-    outside the definition's own body and that `outside` does not count."""
-    trees = {name: ast.parse(src) for name, src in sources.items()}
-    reads = sum((_reads(tree) for tree in trees.values()), Counter()) + outside
-    return sorted(
-        f"{module}:{d.name}"
-        for module, tree in trees.items()
-        for d in _definitions(tree, private=False)
-        if reads[d.name] - _reads(d)[d.name] <= 0)
-
-
 def test_unread_public_names_finds_an_unread_name():
     src = (
         "def used():\n    return 1\ndef unused():\n    return used()\n"
         "class Looked:\n    def method(self):\n        return self.size\n"
         "    @property\n    def size(self):\n        return 0\n    def __len__(self):\n"
         "        return 0\n")
-    assert unread_public_names({"a.py": src}, Counter()) == [
-        "a.py:Looked", "a.py:method", "a.py:unused"]
-    assert unread_public_names({"a.py": src}, Counter(["Looked", "method"])) == ["a.py:unused"]
+    assert unread({"a.py": src}, PUBLIC) == ["a.py:Looked", "a.py:method", "a.py:unused"]
+    assert unread({"a.py": src}, PUBLIC, Counter(["Looked", "method"])) == ["a.py:unused"]
 
 
 def test_every_public_library_name_is_read_by_the_library_or_the_benchmark(bench):
     sources = {p.name: p.read_text() for p in LIBRARY.glob("*.py") if p.name != "__init__.py"}
     benchmark = sum((_reads(ast.parse(p.read_text())) for p in BENCHMARK.glob("*.py")), Counter())
     traced = Counter(name for _, names in bench["tracing"].LAYERS.values() for name in names)
-    assert unread_public_names(sources, benchmark + traced) == UNREAD_PUBLIC_NAMES
+    assert unread(sources, PUBLIC, benchmark + traced) == UNREAD_PUBLIC_NAMES
