@@ -34,7 +34,7 @@ from .core import (
 from .poly import BoundedPoly, basis_poly, rayleigh_diff
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
-from .sos import sos_certificate, sos_certificate_orthant
+from .sos import MAX_GRAM_VARS, sos_certificate, sos_certificate_orthant
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -317,7 +317,7 @@ def _verdict_for_diff(
     if all(c >= 0 for c in diff.terms.values()):
         if domain == POSITIVE_ORTHANT or all(lin == 0 for (lin, _) in diff.terms):
             return verdicts.holds(COEFF_NONNEG, tiers_run=tiers, **diag)
-    if len(diff.active_vars()) <= 10:
+    if len(diff.active_vars()) <= MAX_GRAM_VARS:
         tiers.append("gram")
         square = domain == POSITIVE_ORTHANT
         cert = sos_certificate_orthant(diff) if square else sos_certificate(diff)

@@ -5,11 +5,13 @@ A census check is `matroidwb check --prop <name>` without a pair: both read
 the table CHECKS, so a census cell is the outcome that command prints (for
 the classifiers, their found/none or true/false).
 
-Output is bit-identical for a fixed (job, seed) regardless of worker count:
-instances carry deterministic ids and per-instance seeds derived from the job
-seed by a fixed counter scheme, and the coordinator writes rows in id order.
-A census that finds its CSV already written resumes after the ids there, but
-only when `<csv>.job.json`, written with the CSV, records the same job.
+Each row is written and flushed as soon as its instance is decided, after
+`<csv>.job.json` and the CSV header, so a stopped census keeps its finished
+rows. Run again, it resumes after the ids in the CSV, but only when
+`<csv>.job.json` records the same job. Output is bit-identical for a fixed
+(job, seed) regardless of worker count and of stops: instances carry
+deterministic ids and per-instance seeds derived from the job seed by a
+fixed counter scheme, and rows come back in id order.
 """
 from __future__ import annotations
 
@@ -17,8 +19,11 @@ import csv
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple
 
 from .core import Matroid, is_connected
@@ -176,8 +181,9 @@ class CensusJob:
     def __post_init__(self):
         if not self.checks:
             raise ValueError("a census needs at least one check")
-        if self.budget <= 0 or self.limit <= 0:
-            raise ValueError("budgets must be positive")
+        for name in ("budget", "limit", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"a census needs {name} >= 1, got {getattr(self, name)}")
         self.parsed_checks = [_parse_check(c) for c in self.checks]
         columns: dict[str, str] = {}
         for check, (name, _) in zip(self.checks, self.parsed_checks):
@@ -219,37 +225,37 @@ def _instance_seed(job_seed: int, index: int) -> int:
     return job_seed + 1_000_003 * (index + 1)
 
 
-def _run_instance(payload) -> dict:
-    (inst_id, params, n, masks, checks, budget, seed, family) = payload
-    M = Matroid(n, masks)
-    row = {c: "" for c in CSV_COLUMNS}
+def _run_instance(job: CensusJob, instance: tuple[int, str, str, Matroid]) -> dict:
+    """The CSV row of the instance at this index of the family; a witness
+    JSON is written for each Fails, timed over its own check."""
+    index, inst_id, params, M = instance
+    seed = _instance_seed(job.seed, index)
+    row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(
-        id=inst_id, family=family, params=params,
+        id=inst_id, family=job.family, params=params,
         n=str(M.n), r=str(M.r), num_bases=str(len(M.basis_masks)),
         connected=str(is_connected(M)).lower(),
     )
-    witnesses = []
-    start = time.perf_counter()
-    for name, c in checks:
+    refs = []
+    for name, c in job.parsed_checks:
         check = CHECKS[name]
-        result = check.call(M, None, c, budget, seed)
+        start = time.perf_counter()
+        result = check.call(M, None, c, job.budget, seed)
         row[check.column] = _cell(result)
         if isinstance(result, Verdict) and result.fails:
-            witnesses.append((name, result))
-    wall_ms = int((time.perf_counter() - start) * 1000)
-    return {
-        "row": row,
-        "witnesses": [
-            verdict_to_json(v, prop, inst_id, seed=seed, wall_ms=wall_ms)
-            for prop, v in witnesses
-        ],
-    }
+            wall_ms = int((time.perf_counter() - start) * 1000)
+            ref = f"{inst_id}.{name}.witness.json"
+            dump_verdict_json(os.path.join(job.witness_dir, ref),
+                              verdict_to_json(result, name, inst_id, seed=seed, wall_ms=wall_ms))
+            refs.append(ref)
+    row["witness_ref"] = ";".join(refs)
+    return row
 
 
 def run_census(job: CensusJob) -> list[dict]:
-    """Run the job; returns the row dicts (also written to job.out_csv)."""
-    done_ids: set[str] = set()
-    existing_rows: list[dict] = []
+    """Run the job, appending each row to job.out_csv as it is decided;
+    returns every row of the CSV, those of an earlier run first."""
+    rows: list[dict] = []
     job_file = job.out_csv + ".job.json"
     if os.path.exists(job.out_csv):
         if not os.path.exists(job_file):
@@ -261,50 +267,33 @@ def run_census(job: CensusJob) -> list[dict]:
                 raise ValueError(f"{job.out_csv} holds another job: its {key} is "
                                  f"{written.get(key)!r}, this job's is {value!r}")
         with open(job.out_csv, newline="") as fh:
-            for row in csv.DictReader(fh):
-                done_ids.add(row["id"])
-                existing_rows.append(row)
-
-    payloads = []
-    for index, (inst_id, params, M) in enumerate(_instances(job)):
-        if inst_id in done_ids:
-            continue
-        payloads.append(
-            (
-                inst_id, params, M.n, M.basis_masks, tuple(job.parsed_checks),
-                job.budget, _instance_seed(job.seed, index), job.family,
-            )
-        )
-
-    if job.workers > 1 and len(payloads) > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(job.workers) as pool:
-            results = list(pool.imap(_run_instance, payloads, chunksize=1))
-    else:
-        results = [_run_instance(p) for p in payloads]
-
-    os.makedirs(job.witness_dir, exist_ok=True)
-    new_rows = []
-    for payload, res in zip(payloads, results):
-        row = res["row"]
-        refs = []
-        for k, wjson in enumerate(res["witnesses"]):
-            ref = f"{row['id']}.{wjson['property']}.witness.json"
-            dump_verdict_json(os.path.join(job.witness_dir, ref), wjson)
-            refs.append(ref)
-        row["witness_ref"] = ";".join(refs)
-        new_rows.append(row)
-
-    write_header = not os.path.exists(job.out_csv)
-    if write_header:
+            rows = list(csv.DictReader(fh))
+    # the family takes its first step before any file is written, so a
+    # family over its size cap leaves none
+    instances = enumerate(_instances(job))
+    first = list(islice(instances, 1))
+    if not os.path.exists(job.out_csv):
         with open(job_file, "w") as fh:
             json.dump(job.record(), fh)
-    with open(job.out_csv, "a", newline="") as fh:
+    os.makedirs(job.witness_dir, exist_ok=True)
+
+    done_ids = {row["id"] for row in rows}
+    todo = ((index, *instance) for index, instance in chain(first, instances)
+            if instance[0] not in done_ids)
+    run = partial(_run_instance, job)
+    pool = nullcontext()
+    if job.workers > 1:
+        import multiprocessing  # only a census with workers pays for the import
+
+        # the pool forks before the CSV is opened, so no worker holds its buffer
+        pool = multiprocessing.get_context("fork").Pool(job.workers)
+    with pool, open(job.out_csv, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        if write_header:
+        if fh.tell() == 0:
             writer.writeheader()
-        for row in new_rows:
+            fh.flush()
+        for row in pool.imap(run, todo) if job.workers > 1 else map(run, todo):
             writer.writerow(row)
             fh.flush()
-    return existing_rows + new_rows
+            rows.append(row)
+    return rows

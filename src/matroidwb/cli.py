@@ -378,7 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--budget", type=int, default=100_000)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that decide instances at once (default 1); rows are written in "
+        "id order as they are decided, the same rows for any count",
+    )
     s.add_argument("--limit", type=int, default=1000)
     s.add_argument("--out", default="census.csv")
     s.add_argument("--witness-dir", dest="witness_dir", default="witnesses")

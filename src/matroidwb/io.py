@@ -32,6 +32,22 @@ def _ints(lineno: int, toks: list[str]) -> list[int]:
         raise ParseError(lineno, f"expected integers, got {' '.join(toks)!r}") from None
 
 
+def _header(text: str, what: str, form: str, ints: bool = True):
+    """(fields, lineno, body) of a file whose first data line is `form`, a
+    keyword and two fields: the fields, as integers when `ints`, the line
+    number of that header and the data lines after it.  `what` names the
+    file when it is empty.  A path file is its header alone, with string
+    fields, so its refusal says `expected` without `header`."""
+    lines = list(_data_lines(text))
+    if not lines:
+        raise ParseError(1, f"empty {what} file")
+    lineno, header = lines[0]
+    parts = header.split()
+    if len(parts) != 3 or parts[0] != form.split()[0]:
+        raise ParseError(lineno, f"expected header `{form}`" if ints else f"expected `{form}`")
+    return (_ints(lineno, parts[1:]) if ints else parts[1:]), lineno, lines[1:]
+
+
 # -- matroid: `matroid <n> <r>` then one basis per line ----------------------
 
 
@@ -44,16 +60,9 @@ def format_matroid(M: Matroid, comments: Optional[list[str]] = None) -> str:
 
 
 def parse_matroid(text: str) -> Matroid:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ParseError(1, "empty matroid file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "matroid":
-        raise ParseError(lineno, "expected header `matroid <n> <r>`")
-    n, r = _ints(lineno, parts[1:])
+    (n, r), header_lineno, body = _header(text, "matroid", "matroid <n> <r>")
     bases = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         basis = _ints(lineno, line.split())
         if len(basis) != r:
             raise ParseError(lineno, f"basis has {len(basis)} elements, expected {r}")
@@ -63,7 +72,7 @@ def parse_matroid(text: str) -> Matroid:
         bases.append([])
     M = from_bases(n, bases)
     if M.r != r:
-        raise ParseError(lines[0][0], f"rank mismatch: header says {r}")
+        raise ParseError(header_lineno, f"rank mismatch: header says {r}")
     return M
 
 
@@ -71,18 +80,11 @@ def parse_matroid(text: str) -> Matroid:
 
 
 def parse_graph(text: str) -> MultiGraph:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ParseError(1, "empty graph file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "graph":
-        raise ParseError(lineno, "expected header `graph <v> <e>`")
-    v, e = _ints(lineno, parts[1:])
-    if len(lines) - 1 != e:
-        raise ParseError(lineno, f"expected {e} edge lines, found {len(lines) - 1}")
+    (v, e), lineno, body = _header(text, "graph", "graph <v> <e>")
+    if len(body) != e:
+        raise ParseError(lineno, f"expected {e} edge lines, found {len(body)}")
     edges = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         toks = line.split()
         if len(toks) != 2:
             raise ParseError(lineno, f"bad edge line {line!r}")
@@ -94,33 +96,18 @@ def parse_graph(text: str) -> MultiGraph:
 
 
 def parse_lpm(text: str) -> LatticePathPair:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ParseError(1, "empty path file")
-    lineno, line = lines[0]
-    parts = line.split()
-    if len(parts) != 3 or parts[0] != "lpm":
-        raise ParseError(lineno, "expected `lpm <P-string> <Q-string>`")
-    return LatticePathPair(parts[1], parts[2])
+    (p, q), _, _ = _header(text, "path", "lpm <P-string> <Q-string>", ints=False)
+    return LatticePathPair(p, q)
 
 
 # -- set system: `sys <n> <k>` then one set per line -------------------------
 
 
 def parse_setsystem(text: str) -> SetSystem:
-    lines = list(_data_lines(text))
-    if not lines:
-        raise ParseError(1, "empty set system file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 3 or parts[0] != "sys":
-        raise ParseError(lineno, "expected header `sys <n> <k>`")
-    n, k = _ints(lineno, parts[1:])
-    if len(lines) - 1 != k:
-        raise ParseError(lineno, f"expected {k} set lines, found {len(lines) - 1}")
-    family = []
-    for lineno, line in lines[1:]:
-        family.append(frozenset(_ints(lineno, line.split())))
+    (n, k), lineno, body = _header(text, "set system", "sys <n> <k>")
+    if len(body) != k:
+        raise ParseError(lineno, f"expected {k} set lines, found {len(body)}")
+    family = (frozenset(_ints(lineno, line.split())) for lineno, line in body)
     return SetSystem(n=n, family=tuple(family))
 
 
@@ -179,10 +166,8 @@ def verdict_to_json(
     if v.certificate is not None:
         out["certificate_kind"] = v.certificate.kind
     if v.witness is not None:
-        w = {"value": _frac_str(v.witness.value)}
-        if v.witness.point is not None:
-            w["point"] = [_frac_str(x) for x in v.witness.point]
-        out["witness"] = w
+        out["witness"] = {"value": _frac_str(v.witness.value),
+                          "point": [_frac_str(x) for x in v.witness.point]}
     if seed is not None:
         out["seed"] = seed
     if wall_ms is not None:

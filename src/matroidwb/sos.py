@@ -32,6 +32,10 @@ from .poly import BoundedPoly, TermKey
 
 Factor = tuple[int, int]  # (P, Q): y^P * y^(2Q), disjoint masks
 
+# the most active variables a Gram certificate is sought over; the Gram tier
+# of :mod:`matroidwb.analysis` is skipped above it
+MAX_GRAM_VARS = 10
+
 
 @dataclass(frozen=True)
 class GramBlock:
@@ -146,8 +150,8 @@ def _blocks(p: BoundedPoly, square: bool) -> list[list[Factor]]:
     for lin, sq in p.terms:
         active |= lin | sq
         squared |= sq
-    if popcount(active) > 10:
-        raise SizeCapExceeded("SOS search capped at 10 active variables")
+    if popcount(active) > MAX_GRAM_VARS:
+        raise SizeCapExceeded(f"SOS search capped at {MAX_GRAM_VARS} active variables")
     degrees = [popcount(lin) + 2 * popcount(sq) for lin, sq in p.terms]
     lo, hi = min(degrees), max(degrees)
     blocks = ([(P, Q) for Q in _submasks(squared & ~P) if lo <= popcount(P) + 2 * popcount(Q) <= hi]

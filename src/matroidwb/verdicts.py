@@ -22,10 +22,12 @@ SINGLE_PAIR_WAGNER = "SinglePairWagner"
 
 @dataclass(frozen=True)
 class Witness:
-    """An exactly-verified refutation: a rational point with negative value."""
+    """An exactly-verified refutation: a rational point with negative value.
+    Every check in the library records its point; only a witness built by
+    hand to be refused may leave it empty."""
 
     value: Fraction
-    point: Optional[tuple[Fraction, ...]] = None
+    point: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
-"""Census orchestration: the CSV does not depend on the worker count, each
-check writes its own column and no two checks write one, a bad check or
-family param is refused when the job is made, a census resumes only a CSV of
-its own job, and each census cell is what `check --prop` prints without a
-pair."""
+"""Census orchestration: the CSV does not depend on the worker count, a
+stopped census keeps its finished rows and its rerun writes what an
+unstopped one does, each check writes its own column and no two checks
+write one, a bad check, family param or count is refused when the job is
+made, a census resumes only a CSV of its own job, and each census cell is
+what `check --prop` prints without a pair."""
 import json
 import re
 from collections import Counter
@@ -14,21 +15,50 @@ from matroidwb.cli import main
 from matroidwb.io import format_matroid
 
 
+def stopping(check, seed):
+    """`check`, raising on the instance of this seed."""
+    def call(M, pair, c, budget, instance_seed):
+        if instance_seed == seed:
+            raise RuntimeError("census stopped")
+        return check.call(M, pair, c, budget, instance_seed)
+    return check._replace(call=call)
+
+
+def witnesses(directory):
+    """Each witness JSON in the directory, without its `wall_ms`."""
+    return {path.name: {key: value for key, value in json.loads(path.read_text()).items()
+                        if key != "wall_ms"}
+            for path in directory.iterdir()}
+
+
+# each census is also stopped at the instance of index 9 and run again; in
+# sp(7,3) that is after its Fails witnesses at 00007 and 00008
 @pytest.mark.parametrize(
-    "family, params", [("lpm", {"max_total": 4}), ("bicircular", {"max_edges": 3})])
-def test_one_and_two_workers_write_identical_csv(tmp_path, family, params):
+    "family, params",
+    [("lpm", {"max_total": 4}), ("bicircular", {"max_edges": 3}),
+     ("sparse_paving", {"n": 7, "r": 3})])
+def test_one_and_two_workers_write_identical_csv(tmp_path, monkeypatch, family, params):
     written = []
-    for workers in (1, 2):
+    for workers, stop in [(1, None), (2, None), (1, 9), (2, 9)]:
+        out, wit = tmp_path / f"w{workers}-{stop}.csv", tmp_path / f"wit{workers}-{stop}"
         job = CensusJob(
             family=family, params=params, checks=["hpp", "rayleigh", "negcorr", "paving"],
-            budget=2000, seed=7, workers=workers,
-            out_csv=str(tmp_path / f"w{workers}.csv"),
-            witness_dir=str(tmp_path / f"wit{workers}"),
+            budget=2000, seed=7, workers=workers, out_csv=str(out), witness_dir=str(wit),
         )
+        if stop is not None:
+            with monkeypatch.context() as patch:
+                patch.setitem(CHECKS, "paving",
+                              stopping(CHECKS["paving"], _instance_seed(job.seed, stop)))
+                with pytest.raises(RuntimeError, match="census stopped"):
+                    run_census(job)
+            assert json.loads((tmp_path / f"{out.name}.job.json").read_text()) == job.record()
+            lines = written[0][0].splitlines(keepends=True)
+            assert out.read_bytes() == b"".join(lines[:1 + stop])  # the header and stop rows
         rows = run_census(job)
         assert len(rows) > 1
-        written.append((tmp_path / f"w{workers}.csv").read_bytes())
-    assert written[0] == written[1]
+        written.append((out.read_bytes(), witnesses(wit)))
+    assert all(w == written[0] for w in written)
+    assert family != "sparse_paving" or written[0][1]
 
 
 def test_rayleigh_and_c_rayleigh_write_their_own_columns(tmp_path):
@@ -118,6 +148,28 @@ def test_bad_family_param_is_refused_when_the_job_is_made(tmp_path, family, para
             out_csv=str(tmp_path / "c.csv"), witness_dir=str(tmp_path / "wit"),
         )
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, value", [("workers", 0), ("workers", -3), ("limit", 0), ("budget", -1)])
+def test_a_count_below_one_is_refused_when_the_job_is_made(tmp_path, capsys, name, value):
+    out = tmp_path / "c.csv"
+    message = f"a census needs {name} >= 1, got {value}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CensusJob(family="lpm", params={}, checks=["negcorr"], out_csv=str(out),
+                  witness_dir=str(tmp_path / "wit"), **{name: value})
+    argv = ["census", "--family", "lpm", "--checks", "negcorr", f"--{name}", str(value),
+            "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err and not out.exists()
+
+
+def test_a_family_over_its_size_cap_leaves_no_file(tmp_path, capsys):
+    argv = ["census", "--family", "lpm", "--params", "max_total=10", "--checks", "negcorr",
+            "--out", str(tmp_path / "c.csv"), "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 4
+    assert "path census capped at m + r = 9" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_census_command_refuses_a_misspelt_param(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Graphic, bicircular, transversal, lattice path constructions and the
-extension/truncation operators.  The bicircular construction is checked
-against the transversal matroid of its presentation."""
+extension/truncation operators."""
 import random
 from itertools import combinations
 
@@ -49,21 +48,6 @@ def bases_as_strings(M):
     return {"".join(str(e) for e in sorted(b)) for b in M.bases}
 
 
-def bicircular_presentation(G):
-    """One set per vertex: the edges incident with it (a loop counted once)."""
-    return SetSystem(n=G.e, family=tuple(
-        frozenset(i for i, edge in enumerate(G.edges, 1) if v in edge) for v in range(1, G.v + 1)))
-
-
-def random_multigraph(rng, max_v=4, max_e=7):
-    v = rng.randint(1, max_v)
-    e = rng.randint(1, max_e)
-    edges = tuple(
-        (rng.randint(1, v), rng.randint(1, v)) for _ in range(e)
-    )
-    return MultiGraph(v=v, edges=edges)
-
-
 class TestUniform:
     def test_counts(self):
         assert len(uniform(2, 4).basis_masks) == 6
@@ -105,18 +89,6 @@ class TestBicircular:
         from matroidwb.core import circuits
 
         assert [set_of(m) for m in circuits(M).masks] == [{1, 2}]
-
-    def test_presentation_matches_construction(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            G = random_multigraph(rng)
-            assert isomorphism(transversal(bicircular_presentation(G)), bicircular(G)) is not None
-
-    def test_star_presentation(self):
-        G = MultiGraph(v=4, edges=((1, 2), (1, 3), (1, 4)))
-        S = bicircular_presentation(G)
-        assert S.family[0] == frozenset({1, 2, 3})
-        assert S.family[1:] == (frozenset({1}), frozenset({2}), frozenset({3}))
 
 
 class TestTransversal:
