@@ -8,7 +8,6 @@ witnesses).
 """
 
 from .core import (
-    CircuitSet,
     Matroid,
     circuits,
     closure,

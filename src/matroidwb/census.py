@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import signal
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -165,6 +166,14 @@ def _parse_params(family: str, params: dict) -> dict[str, int]:
     return out
 
 
+def refuse_below(who: str, low: int, **counts: int) -> None:
+    """Refuse, by name, a count below low: a search seed below 0, or a
+    budget, limit or worker count below 1."""
+    for name, value in counts.items():
+        if value < low:
+            raise ValueError(f"{who} needs {name} >= {low}, got {value}")
+
+
 @dataclass
 class CensusJob:
     family: str
@@ -181,9 +190,8 @@ class CensusJob:
     def __post_init__(self):
         if not self.checks:
             raise ValueError("a census needs at least one check")
-        for name in ("budget", "limit", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"a census needs {name} >= 1, got {getattr(self, name)}")
+        refuse_below("a census", 0, seed=self.seed)
+        refuse_below("a census", 1, budget=self.budget, limit=self.limit, workers=self.workers)
         self.parsed_checks = [_parse_check(c) for c in self.checks]
         columns: dict[str, str] = {}
         for check, (name, _) in zip(self.checks, self.parsed_checks):
@@ -202,23 +210,26 @@ class CensusJob:
 
 
 def _instances(job: CensusJob) -> Iterator[tuple[str, str, Matroid]]:
+    """The first job.limit instances of the family as (id, params, M)."""
     fam, params = job.family, job.params
     if fam == "lpm":
         total = params["max_total"]
-        for k, (L, M) in enumerate(lpm_family(total, limit=job.limit)):
-            yield (f"lpm{total}-{k:05d}", f"P={L.p};Q={L.q}", M)
+        prefix = f"lpm{total}"
+        stream = ((f"P={L.p};Q={L.q}", M) for L, M in lpm_family(total))
     elif fam == "sparse_paving":
         n, r = params["n"], params["r"]
-        for k, M in enumerate(sparse_paving_family(n, r, limit=job.limit)):
-            yield (f"sp{n}-{r}-{k:05d}", f"n={n};r={r}", M)
+        prefix = f"sp{n}-{r}"
+        stream = ((f"n={n};r={r}", M) for M in sparse_paving_family(n, r))
     elif fam == "bicircular":
         e = params["max_edges"]
-        for k, (G, M) in enumerate(bicircular_family(e, limit=job.limit)):
-            edges = ",".join(f"{a}-{b}" for a, b in G.edges)
-            yield (f"bc{e}-{k:05d}", f"v={G.v};edges={edges}", M)
+        prefix = f"bc{e}"
+        stream = ((f"v={G.v};edges=" + ",".join(f"{a}-{b}" for a, b in G.edges), M)
+                  for G, M in bicircular_family(e))
     else:
-        for k, name in enumerate(("U24", "MK4", "W3", "BK33", "TicTacToe")):
-            yield (f"atlas-{k:05d}", name, named_atlas(name))
+        prefix = "atlas"
+        stream = ((name, named_atlas(name)) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe"))
+    for k, (inst_params, M) in enumerate(islice(stream, job.limit)):
+        yield (f"{prefix}-{k:05d}", inst_params, M)
 
 
 def _instance_seed(job_seed: int, index: int) -> int:
@@ -286,7 +297,10 @@ def run_census(job: CensusJob) -> list[dict]:
         import multiprocessing  # only a census with workers pays for the import
 
         # the pool forks before the CSV is opened, so no worker holds its buffer
-        pool = multiprocessing.get_context("fork").Pool(job.workers)
+        # a worker ignores Ctrl-C, so only the coordinator stops, and its
+        # pool ends the workers
+        pool = multiprocessing.get_context("fork").Pool(
+            job.workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
     with pool, open(job.out_csv, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         if fh.tell() == 0:

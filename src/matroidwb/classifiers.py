@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import functools
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -10,6 +10,7 @@ import numpy as np
 from .core import (
     FamilyClasses,
     Matroid,
+    mask_components,
     mask_of,
     popcount,
     subset_sizes,
@@ -226,8 +227,9 @@ def positroid_verdict(M: Matroid) -> Optional[tuple[int, ...]]:
 # sparse paving family (stream of isomorphism-class representatives)
 
 
-def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]:
-    """Sparse paving matroids on [n] of rank r, one per isomorphism class.
+def sparse_paving_family(n: int, r: int, limit: Optional[int] = None) -> Iterator[Matroid]:
+    """Sparse paving matroids on [n] of rank r, one per isomorphism class;
+    the first ``limit`` classes, or every class when it is None.
 
     Non-basis families H (r-sets, pairwise symmetric difference >= 4) are
     grown breadth-first by size.  A permutation of [n] fixes the set of
@@ -248,49 +250,44 @@ def sparse_paving_family(n: int, r: int, limit: int = 1000) -> Iterator[Matroid]
             if i != j and popcount(rsets[i] ^ rsets[j]) == 2:
                 conflict[i] |= 1 << j
 
-    def emit(H_idx: tuple[int, ...]) -> Matroid:
+    def nonbases() -> Iterator[tuple[int, ...]]:
+        """One H per class as sorted index tuples, the empty H (the uniform
+        matroid) first."""
+        yield ()
+        reps: list[tuple[int, ...]] = [()]
+        classes = FamilyClasses()  # of the non-basis families
+        while reps:
+            next_reps: list[tuple[int, ...]] = []
+            for H in reps:
+                forbidden = 0
+                for i in H:
+                    forbidden |= conflict[i] | (1 << i)
+                for v in range(nr):
+                    if forbidden & (1 << v):
+                        continue
+                    H2 = tuple(sorted(H + (v,)))
+                    if not classes.is_new(n, tuple(rsets[i] for i in H2)):
+                        continue
+                    next_reps.append(H2)
+                    yield H2
+            reps = next_reps
+
+    for H in islice(nonbases(), limit):
         # r-sets pairwise at symmetric difference >= 4 always leave a
         # sparse paving matroid; the constructor still validates it
-        gone = {rsets[i] for i in H_idx}
-        return Matroid(n, [m for m in rsets if m not in gone])
-
-    emitted = 0
-    # level 0: the uniform matroid
-    if limit > 0:
-        emitted += 1
-        yield emit(())
-    reps: list[tuple[int, ...]] = [()]  # H as sorted index tuples
-    classes = FamilyClasses()  # of the non-basis families
-    while reps and emitted < limit:
-        next_reps: list[tuple[int, ...]] = []
-        for H in reps:
-            forbidden = 0
-            for i in H:
-                forbidden |= conflict[i] | (1 << i)
-            for v in range(nr):
-                if forbidden & (1 << v):
-                    continue
-                H2 = tuple(sorted(H + (v,)))
-                if not classes.is_new(n, tuple(rsets[i] for i in H2)):
-                    continue
-                next_reps.append(H2)
-                emitted += 1
-                yield emit(H2)
-                if emitted >= limit:
-                    return
-        reps = next_reps
+        gone = {rsets[i] for i in H}
+        yield Matroid(n, [m for m in rsets if m not in gone])
 
 
 # ---------------------------------------------------------------------------
 # lattice path family
 
 
-def lpm_family(max_total: int, limit: int = 10**9) -> Iterator[tuple[LatticePathPair, Matroid]]:
+def lpm_family(max_total: int) -> Iterator[tuple[LatticePathPair, Matroid]]:
     """All lattice path presentations with m + r <= max_total, streamed with
     their matroids in a fixed enumeration order."""
     if max_total > 9:
         raise SizeCapExceeded("path census capped at m + r = 9")
-    count = 0
     for total in range(1, max_total + 1):
         for r in range(0, total + 1):
             pos = list(combinations(range(1, total + 1), r))
@@ -306,9 +303,6 @@ def lpm_family(max_total: int, limit: int = 10**9) -> Iterator[tuple[LatticePath
                     )
                     L = LatticePathPair(p, q)
                     yield (L, lattice_path(L))
-                    count += 1
-                    if count >= limit:
-                        return
 
 
 # ---------------------------------------------------------------------------
@@ -342,24 +336,17 @@ def _connected_multigraphs(v: int, e: int) -> Iterator[tuple[tuple[int, int], ..
     order of ``combinations_with_replacement`` over the sorted slots.
 
     A depth-first search over slot indices drops a prefix once its
-    uncovered vertices outnumber twice the edges still to place, or once
-    its lowest uncovered vertex lies below every slot still allowed.  A
-    leaf must cover every vertex and reach them all from vertex 1."""
+    uncovered vertices outnumber the edges still to place (rooted at a
+    covered vertex, a spanning tree gives each uncovered vertex an edge of
+    its own, and none is placed yet), or once its lowest uncovered vertex
+    lies below every slot still allowed.  A leaf must cover every vertex,
+    and the part of vertex 1 that its edges join must be every vertex."""
     slots = [(a, b) for a in range(1, v + 1) for b in range(a, v + 1)]
     low = [1 << (a - 1) for a, _ in slots]
     span = [1 << (a - 1) | 1 << (b - 1) for a, b in slots]
+    slot_of = dict(zip(span, slots))
     full = (1 << v) - 1
-    chosen: list[int] = []
-
-    def connected() -> bool:
-        reach = grown = 1
-        while True:
-            for i in chosen:
-                if span[i] & grown:
-                    grown |= span[i]
-            if grown == reach:
-                return reach == full
-            reach = grown
+    chosen: list[int] = []  # the spans of the slots chosen so far
 
     def walk(start: int, left: int, covered: int):
         lowest_uncovered = (covered + 1) & ~covered
@@ -368,21 +355,19 @@ def _connected_multigraphs(v: int, e: int) -> Iterator[tuple[tuple[int, int], ..
             if low[i] > lowest_uncovered:
                 break
             c = covered | span[i]
-            if v - popcount(c) > 2 * (left - 1):
+            if v - popcount(c) > left - 1:
                 continue
-            chosen.append(i)
+            chosen.append(span[i])
             if left > 1:
                 yield from walk(i, left - 1, c)
-            elif c == full and connected():
-                yield tuple(slots[k] for k in chosen)
+            elif c == full and mask_components(full, chosen)[0] == full:
+                yield tuple(slot_of[s] for s in chosen)
             chosen.pop()
 
     yield from walk(0, e, 0)
 
 
-def bicircular_family(
-    max_edges: int, limit: int = 10**9
-) -> Iterator[tuple[MultiGraph, Matroid]]:
+def bicircular_family(max_edges: int) -> Iterator[tuple[MultiGraph, Matroid]]:
     """Connected multigraphs (loops and parallels allowed) up to the edge
     bound, streamed with their bicircular matroids.  The stream is of graphs,
     not of matroid classes: cheap canonical keys suppress most isomorphic
@@ -390,7 +375,6 @@ def bicircular_family(
     if max_edges > 9:
         raise SizeCapExceeded("bicircular census capped at 9 edges")
     seen = set()
-    count = 0
     for v in range(1, max_edges + 2):
         for e in range(max(1, v - 1), max_edges + 1):
             for combo in _connected_multigraphs(v, e):
@@ -400,6 +384,3 @@ def bicircular_family(
                 seen.add(key)
                 G = MultiGraph(v=v, edges=combo)
                 yield (G, bicircular(G))
-                count += 1
-                if count >= limit:
-                    return

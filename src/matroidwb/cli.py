@@ -10,13 +10,15 @@ Exit codes for `check`: 0 = Holds, 1 = Fails, 2 = Inconclusive, >2 = error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import os
 import sys
 import time
 
 from . import io as wio
 from .analysis import neg_corr_all_pairs, nice_extension_report, strong_rayleigh_verdict
-from .census import CHECKS, DEFAULT_C, FAMILY_PARAMS, CensusJob, run_census
+from .census import CHECKS, DEFAULT_C, FAMILY_PARAMS, CensusJob, refuse_below, run_census
 from .classifiers import bicircular_family, lpm_family, positroid_verdict, sparse_paving_family
 from .constructions import (
     MultiGraph,
@@ -123,6 +125,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_check(args) -> int:
+    refuse_below("check", 0, seed=args.seed)
+    refuse_below("check", 1, budget=args.budget)
     M = _load_matroid(args.matroid)
     prop, check = args.prop, CHECKS[args.prop]
     pair = tuple(_int_list(args.pair)) if args.pair else None
@@ -187,7 +191,16 @@ def cmd_census(args) -> int:
         witness_dir=args.witness_dir,
         limit=args.limit,
     )
-    rows = run_census(job)
+    try:
+        rows = run_census(job)
+    except KeyboardInterrupt:
+        kept = 0
+        if os.path.exists(args.out):
+            with open(args.out, newline="") as fh:
+                kept = sum(1 for _ in csv.DictReader(fh))
+        print(f"census stopped: {args.out} keeps {kept} rows; rerun the same command "
+              "to resume it", file=sys.stderr)
+        return 130
     fails = sum(1 for r in rows if FAILS in r.values())
     print(f"census: {len(rows)} instances, {fails} with Fails outcomes -> {args.out}")
     return 0

@@ -12,6 +12,7 @@ from .core import (
     _ground_mask,
     closure,
     dual,
+    mask_components,
     mask_of,
 )
 from .errors import (
@@ -161,31 +162,16 @@ def uniform(k: int, n: int) -> Matroid:
 
 
 def graphic(G: MultiGraph) -> Matroid:
-    """Cycle matroid: bases are the maximal spanning forests of G, the
-    rank-sized edge sets that keep the full rank."""
-    rank = _cycle_rank(G, range(1, G.e + 1))
-    combos = combinations(range(1, G.e + 1), rank)
-    return Matroid(G.e, (mask_of(c) for c in combos if _cycle_rank(G, c) == rank))
-
-
-def _cycle_rank(G: MultiGraph, edge_ids: Iterable[int]) -> int:
-    """The rank of an edge set in the cycle matroid: the number of its edges
-    that join two trees of the forest grown so far (union-find)."""
-    parent = list(range(G.v + 1))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    rank = 0
-    for i in edge_ids:
-        a, b = G.edges[i - 1]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            rank += 1
-    return rank
+    """Cycle matroid: the bases are the maximal spanning forests of G, the
+    rank-sized edge sets that leave as many components of the vertex set
+    as all of G's edges do (rank = vertices - components)."""
+    vertices = (1 << G.v) - 1
+    ends = [1 << (a - 1) | 1 << (b - 1) for a, b in G.edges]
+    parts = len(mask_components(vertices, ends))
+    combos = combinations(range(1, G.e + 1), G.v - parts)
+    return Matroid(G.e, (
+        mask_of(c) for c in combos
+        if len(mask_components(vertices, [ends[i - 1] for i in c])) == parts))
 
 
 def bicircular(G: MultiGraph) -> Matroid:

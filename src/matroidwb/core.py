@@ -7,8 +7,7 @@ pure: a Matroid is immutable after construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -187,17 +186,6 @@ class Matroid:
         return f"Matroid(n={self.n}, r={self.r}, bases={len(self.basis_masks)})"
 
 
-@dataclass(frozen=True)
-class CircuitSet:
-    """Antichain of minimal dependent sets of a matroid."""
-
-    n: int
-    masks: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-
 # ---------------------------------------------------------------------------
 # construction / rank / circuits
 
@@ -234,15 +222,15 @@ def closure(M: Matroid, S: Iterable[int] | int) -> frozenset[int]:
     return set_of(cl)
 
 
-def circuits(M: Matroid) -> CircuitSet:
-    """All minimal dependent subsets (sizes are at most r+1): the dependent
-    sets S with S - e independent for every e in S."""
+def circuits(M: Matroid) -> tuple[int, ...]:
+    """The masks of all minimal dependent subsets, ascending (sizes are at
+    most r+1): the dependent sets S with S - e independent for every e in S."""
     indep = M._indep_table()
     minimal = indep == 0
     for i in range(M.n):
         # the sets containing element i+1 against the same sets without it
         minimal.reshape(-1, 2, 1 << i)[:, 1, :] &= indep.reshape(-1, 2, 1 << i)[:, 0, :] == 1
-    return CircuitSet(M.n, tuple(np.flatnonzero(minimal).tolist()))
+    return tuple(np.flatnonzero(minimal).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -485,29 +473,46 @@ def two_separation(M: Matroid) -> Optional[tuple[frozenset[int], frozenset[int]]
     return (set_of(A), set_of(full ^ A))
 
 
-def connected_components(M: Matroid) -> list[frozenset[int]]:
-    """Finest direct-sum decomposition of the ground set.
+def mask_components(ground: int, masks: Sequence[int]) -> list[int]:
+    """The parts of the ground mask that the masks join, lowest element
+    first: two elements share a part when a chain of masks, each meeting
+    the next, links them, and an element in no mask is a part of its own.
+    Each mask is a subset of ground."""
+    parts = []
+    while ground:
+        part, grown = ground & -ground, 0
+        while part != grown:
+            grown = part
+            for m in masks:
+                if m & part:
+                    part |= m
+        parts.append(part)
+        ground &= ~part
+    return parts
 
-    The components of the fundamental graph of one basis B, where b in B and
-    e outside B are adjacent when B - b + e is a basis (Krogdahl, Discrete
-    Math. 19, 1977); loops and coloops are singletons.
+
+def connected_components(M: Matroid) -> list[frozenset[int]]:
+    """Finest direct-sum decomposition of the ground set, lowest element
+    first.
+
+    The components of the fundamental graph of one basis B: each e outside
+    B is joined to every b in B with B - b + e a basis (Krogdahl, Discrete
+    Math. 19, 1977), so a loop, joined to nothing, and a coloop, in no
+    exchange, are parts of their own.
     """
     B, bset = M.basis_masks[0], M._basis_set
     in_B = [1 << i for i in range(M.n) if B >> i & 1]
-    groups = list(in_B)
+    stars = []
     for i in range(M.n):
         ebit = 1 << i
         if B & ebit:
             continue
-        comp = ebit
+        star = ebit
         for bbit in in_B:
             if (B ^ bbit | ebit) in bset:
-                comp |= bbit
-        for g in [g for g in groups if g & comp]:
-            groups.remove(g)
-            comp |= g
-        groups.append(comp)
-    return sorted((set_of(g) for g in groups), key=min)
+                star |= bbit
+        stars.append(star)
+    return [set_of(part) for part in mask_components((1 << M.n) - 1, stars)]
 
 
 def restriction(M: Matroid, S: Iterable[int]) -> Matroid:

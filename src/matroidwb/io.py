@@ -114,26 +114,18 @@ def parse_setsystem(text: str) -> SetSystem:
 # -- polynomial dump ----------------------------------------------------------
 
 
-def _term_sort_key(key):
-    lin, sq = key
-    factors = sorted(
-        [(v, 2) for v in elements(sq)] + [(v, 1) for v in elements(lin)]
-    )
-    return tuple((v, -e) for v, e in factors)
-
-
 def format_poly(f: BoundedPoly) -> str:
-    """One term per line, `<coeff> : <var^k ...>`, deterministic order."""
+    """One term per line, `<coeff> : <var^k ...>`; terms compare by their
+    factors in variable order, a variable's square before its first power."""
     if not f.terms:
         return "0\n"
+    # each factor as (v, -power); a variable is linear or squared, not both
+    rows = sorted(
+        (sorted([(v, -1) for v in elements(lin)] + [(v, -2) for v in elements(sq)]), c)
+        for (lin, sq), c in f.terms.items())
     out = []
-    for key in sorted(f.terms, key=_term_sort_key):
-        lin, sq = key
-        c = f.terms[key]
-        factors = sorted(
-            [(v, 1) for v in elements(lin)] + [(v, 2) for v in elements(sq)]
-        )
-        mono = " ".join(f"x{v}" if e == 1 else f"x{v}^2" for v, e in factors)
+    for factors, c in rows:
+        mono = " ".join(f"x{v}" if e == -1 else f"x{v}^2" for v, e in factors)
         out.append(f"{c} : {mono}" if mono else f"{c} :")
     return "\n".join(out) + "\n"
 

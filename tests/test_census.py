@@ -1,9 +1,11 @@
 """Census orchestration: the CSV does not depend on the worker count, a
 stopped census keeps its finished rows and its rerun writes what an
-unstopped one does, each check writes its own column and no two checks
-write one, a bad check, family param or count is refused when the job is
-made, a census resumes only a CSV of its own job, and each census cell is
-what `check --prop` prints without a pair."""
+unstopped one does, a census stopped by Ctrl-C says so in one line, the
+limit is the number of rows of every family, each check writes its own
+column and no two checks write one, a bad check, family param, count or
+seed is refused when the job is made, a census resumes only a CSV of its
+own job, and each census cell is what `check --prop` prints without a
+pair."""
 import json
 import re
 from collections import Counter
@@ -11,15 +13,16 @@ from collections import Counter
 import pytest
 
 from matroidwb.census import CHECKS, CensusJob, _instance_seed, _instances, run_census
+from matroidwb.classifiers import lpm_family
 from matroidwb.cli import main
 from matroidwb.io import format_matroid
 
 
-def stopping(check, seed):
-    """`check`, raising on the instance of this seed."""
+def stopping(check, seed, error=RuntimeError("census stopped")):
+    """`check`, raising the error on the instance of this seed."""
     def call(M, pair, c, budget, instance_seed):
         if instance_seed == seed:
-            raise RuntimeError("census stopped")
+            raise error
         return check.call(M, pair, c, budget, instance_seed)
     return check._replace(call=call)
 
@@ -151,10 +154,12 @@ def test_bad_family_param_is_refused_when_the_job_is_made(tmp_path, family, para
 
 
 @pytest.mark.parametrize(
-    "name, value", [("workers", 0), ("workers", -3), ("limit", 0), ("budget", -1)])
+    "name, value", [("workers", 0), ("workers", -3), ("limit", 0), ("budget", -1),
+                    ("seed", -1), ("seed", -50_000_000)])
 def test_a_count_below_one_is_refused_when_the_job_is_made(tmp_path, capsys, name, value):
     out = tmp_path / "c.csv"
-    message = f"a census needs {name} >= 1, got {value}"
+    low = 0 if name == "seed" else 1
+    message = f"a census needs {name} >= {low}, got {value}"
     with pytest.raises(ValueError, match=re.escape(message)):
         CensusJob(family="lpm", params={}, checks=["negcorr"], out_csv=str(out),
                   witness_dir=str(tmp_path / "wit"), **{name: value})
@@ -162,6 +167,36 @@ def test_a_count_below_one_is_refused_when_the_job_is_made(tmp_path, capsys, nam
             "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
     assert main(argv) == 4
     assert message in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, params", [("lpm", "max_total=6"), ("bicircular", "max_edges=5"),
+                       ("sparse_paving", "n=8;r=4"), ("atlas", "")])
+def test_limit_is_the_number_of_rows(tmp_path, family, params):
+    out = tmp_path / "c.csv"
+    argv = ["census", "--family", family, "--params", params, "--checks", "paving",
+            "--limit", "3", "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 0
+    ids = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert [i[-5:] for i in ids] == ["00000", "00001", "00002"]
+
+
+def test_a_census_stopped_by_ctrl_c_says_that_the_same_command_resumes_it(
+    tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "c.csv"
+    argv = ["census", "--family", "lpm", "--params", "max_total=4", "--checks", "paving",
+            "--seed", "3", "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
+    with monkeypatch.context() as patch:
+        patch.setitem(CHECKS, "paving", stopping(
+            CHECKS["paving"], _instance_seed(3, 5), KeyboardInterrupt()))
+        assert main(argv) == 130
+    assert capsys.readouterr().err == (
+        f"census stopped: {out} keeps 5 rows; rerun the same command to resume it\n")
+    stopped = out.read_text()
+    assert main(argv) == 0
+    rows = out.read_text()
+    assert rows.startswith(stopped) and len(rows.splitlines()) == 1 + len(list(lpm_family(4)))
 
 
 def test_a_family_over_its_size_cap_leaves_no_file(tmp_path, capsys):

@@ -2,7 +2,8 @@
 command line is validated before any check runs and refused by the checks
 that ignore it, the basis polynomial is built only for the checks that read
 it, strong_rayleigh without a pair has an answer when no pair lies in a
-common basis, c must be a positive rational, `--out` gets the printed JSON
+common basis, a negative seed and a budget below one are refused, c must
+be a positive rational, `--out` gets the printed JSON
 for every check, and `poly --rayleigh` and `construct minor`, `extension`,
 `truncation` and `relax` refuse an element outside the ground set, and
 `construct 2sum` a basepoint outside it."""
@@ -47,6 +48,14 @@ def test_strong_rayleigh_without_a_pair_in_a_common_basis(tmp_path, M, capsys):
         payload = json.loads(capsys.readouterr().out)
         outcomes.append((payload["outcome"], payload["certificate_kind"]))
     assert outcomes[0] == outcomes[1] == ("Holds", "CoefficientNonneg")
+
+
+@pytest.mark.parametrize("name, value", [("seed", -1), ("budget", 0), ("budget", -5)])
+def test_a_negative_seed_or_a_budget_below_one_is_refused(u13, name, value, capsys):
+    assert main(["check", u13, "--prop", "hpp", f"--{name}", str(value)]) == 4
+    low = 0 if name == "seed" else 1
+    captured = capsys.readouterr()
+    assert f"check needs {name} >= {low}, got {value}" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("c", ["1/0", "abc", "0"])

@@ -88,7 +88,7 @@ class TestBicircular:
         assert M.r == 1
         from matroidwb.core import circuits
 
-        assert [set_of(m) for m in circuits(M).masks] == [{1, 2}]
+        assert [set_of(m) for m in circuits(M)] == [{1, 2}]
 
 
 class TestTransversal:

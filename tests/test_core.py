@@ -147,16 +147,16 @@ class TestRank:
 
 class TestCircuits:
     def test_u23(self):
-        assert [set_of(m) for m in circuits(uniform(2, 3)).masks] == [{1, 2, 3}]
+        assert [set_of(m) for m in circuits(uniform(2, 3))] == [{1, 2, 3}]
 
     def test_u34(self):
-        assert [set_of(m) for m in circuits(uniform(3, 4)).masks] == [{1, 2, 3, 4}]
+        assert [set_of(m) for m in circuits(uniform(3, 4))] == [{1, 2, 3, 4}]
 
     def test_antichain_and_cover(self):
         rng = random.Random(1)
         for _ in range(20):
             M = random_small_matroid(rng)
-            cs = circuits(M).masks
+            cs = circuits(M)
             for a in cs:
                 for b in cs:
                     assert a == b or (a & b) != a
@@ -172,7 +172,7 @@ class TestCircuits:
 
         G = MultiGraph(v=3, edges=((1, 2), (1, 2), (2, 3), (3, 1)))
         M = bicircular(G)
-        assert all(popcount(c) == 4 for c in circuits(M).masks)
+        assert all(popcount(c) == 4 for c in circuits(M))
 
 
 class TestDual:
@@ -203,7 +203,7 @@ class TestMinors:
         M = contract(graphic(k4()), [1])
         assert (M.n, M.r) == (5, 2)
         # two parallel pairs appear as 2-element circuits
-        pairs = [set_of(c) for c in circuits(M).masks if popcount(c) == 2]
+        pairs = [set_of(c) for c in circuits(M) if popcount(c) == 2]
         assert len(pairs) == 2
 
     def test_minor_dual_commute(self):
@@ -244,7 +244,7 @@ class TestSums:
     def test_two_sum_u23(self):
         T = two_sum(uniform(2, 3), 3, uniform(2, 3), 3)
         assert T == uniform(3, 4)
-        assert [set_of(m) for m in circuits(T).masks] == [{1, 2, 3, 4}]
+        assert [set_of(m) for m in circuits(T)] == [{1, 2, 3, 4}]
 
     def test_two_sum_has_two_separation(self):
         T = two_sum(uniform(2, 3), 3, uniform(2, 3), 3)

@@ -1,5 +1,6 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
-not an integer is a parse error that names its line, and a Fails witness
+not an integer is a parse error that names its line, a polynomial is
+printed one term a line in the order of its factors, and a Fails witness
 is written as its value and its point."""
 from fractions import Fraction
 
@@ -11,11 +12,13 @@ from matroidwb.errors import EmptyBases
 from matroidwb.io import (
     ParseError,
     format_matroid,
+    format_poly,
     parse_graph,
     parse_matroid,
     parse_setsystem,
     verdict_to_json,
 )
+from matroidwb.poly import BoundedPoly
 from matroidwb.verdicts import Witness, fails
 
 
@@ -77,6 +80,16 @@ def test_construct_reports_the_bad_edge_line(tmp_path, capsys):
     path.write_text("graph 2 2\n1 2\n1 two\n")
     assert main(["construct", "graphic", "--in", str(path)]) == 4
     assert "line 3: expected integers, got '1 two'" in capsys.readouterr().err
+
+
+def test_poly_terms_are_ordered_by_their_factors_a_square_first():
+    f = BoundedPoly(3, {
+        (0b100, 0b010): 4, (0b001, 0b100): Fraction(1, 3), (0b011, 0): 1,
+        (0b010, 0b001): -2, (0, 0b001): 7, (0, 0): 5,
+    })
+    assert format_poly(f) == (
+        "5 :\n7 : x1^2\n-2 : x1^2 x2\n1 : x1 x2\n1/3 : x1 x3^2\n4 : x2^2 x3\n")
+    assert format_poly(BoundedPoly(3)) == "0\n"
 
 
 def test_a_fails_witness_is_its_value_and_its_point():

@@ -1,4 +1,5 @@
-"""The matroid kernel against the implementations it replaced: components
+"""The matroid kernel against the implementations it replaced: the parts
+that masks join against a union-find on random mask families, components
 from the fundamental graph against the circuit union-find and brute-force
 1-separations, bit-squeezed minors against relabel-map minors, minors
 built without re-validation against the same bases validated, the
@@ -9,7 +10,7 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matroidwb.analysis import _minor_reps
@@ -31,6 +32,7 @@ from matroidwb.core import (
     dual,
     elements,
     is_connected,
+    mask_components,
     mask_of,
     popcount,
     rank_of,
@@ -45,24 +47,29 @@ from matroidwb.core import (
 # reference implementations
 
 
-def circuit_components(M):
-    """Union-find over the circuits: two elements share a component iff some
-    circuit holds both."""
-    parent = list(range(M.n + 1))
+def union_find_parts(ground, masks):
+    """Union-find over the elements of the ground mask: the elements of each
+    mask share a part."""
+    parent = {e: e for e in elements(ground)}
 
     def find(x):
         while parent[x] != x:
             x = parent[x]
         return x
 
-    for c in circuits(M).masks:
-        es = elements(c)
+    for m in masks:
+        es = elements(m)
         for e in es[1:]:
             parent[find(e)] = find(es[0])
     groups = {}
-    for e in range(1, M.n + 1):
+    for e in elements(ground):
         groups.setdefault(find(e), set()).add(e)
     return sorted((frozenset(g) for g in groups.values()), key=min)
+
+
+def circuit_components(M):
+    """Two elements share a component iff some circuit holds both."""
+    return union_find_parts((1 << M.n) - 1, circuits(M))
 
 
 def loop_circuits(M):
@@ -162,17 +169,32 @@ def _random_minor_sets(M, rng):
 # components and 1-separations
 
 
-@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums"])
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+    st.integers(0, (1 << n) - 1),
+    st.lists(st.integers(0, (1 << n) - 1), max_size=8))))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example((0, []))
+@example((0b1011, []))
+@example((0b1111111, [0b11, 0b1000010, 0]))
+@example((0b111111, [0b110000, 0b11000, 0b1100, 0b110, 0b11]))  # one link a pass
+def test_mask_components_match_union_find(case):
+    ground, masks = case
+    masks = [m & ground for m in masks]
+    parts = mask_components(ground, masks)
+    assert [set_of(p) for p in parts] == union_find_parts(ground, masks)
+
+
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums", "edge"])
 def test_components_match_circuit_union_find(families, name):
-    for M in families[name]:
+    for M in EDGE_CASES if name == "edge" else families[name]:
         comps = connected_components(M)
         assert comps == circuit_components(M)
         assert is_connected(M) == (len(comps) <= 1)
 
 
-@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums"])
+@pytest.mark.parametrize("name", ["lpm6", "sp7-3", "bc5", "sp8-4", "sums", "edge"])
 def test_is_connected_matches_brute_force(families, name):
-    for M in families[name]:
+    for M in EDGE_CASES if name == "edge" else families[name]:
         assert is_connected(M) == (M.n <= 1 or has_no_1_separation(M))
 
 
@@ -223,7 +245,8 @@ def test_empty_minors_are_the_matroid():
     assert delete(M, []) == M and contract(M, []) == M and restriction(M, range(1, M.n + 1)) == M
 
 
-EDGE_CASES = [uniform(0, 3), uniform(3, 3), uniform(0, 0), uniform(1, 1)]
+# all loops, all coloops, the empty matroid, one coloop, and loops beside coloops
+EDGE_CASES = [uniform(0, 3), uniform(3, 3), uniform(0, 0), uniform(1, 1), Matroid(4, [0b0110])]
 ATLAS = [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
 FIXTURES = [
     whirl(3), graphic(k4()), uniform(2, 5), uniform(0, 3), uniform(3, 3),
@@ -322,7 +345,7 @@ def test_whirl_7_two_separation_quickly():
 def test_circuits_and_paving_match_the_circuit_loop(families, name):
     stream = {"atlas": ATLAS, "edge": EDGE_CASES}.get(name) or families[name]
     for M in stream:
-        assert circuits(M).masks == loop_circuits(M)
+        assert circuits(M) == loop_circuits(M)
         assert is_paving(M) == loop_is_paving(M)
         assert is_sparse_paving(M) == loop_is_sparse_paving(M)
 

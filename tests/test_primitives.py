@@ -1,8 +1,10 @@
 """One implementation per primitive, against the implementations it replaced:
 the family isomorphism search and fingerprint against the subset-family
-search of the sparse-paving enumeration, graphic matroids from the cycle
-rank against a forest union-find, bicircular matroids from the vertices'
-incidence sets against a count of edges and vertices per component, the
+search of the sparse-paving enumeration, graphic matroids from the parts
+of the vertex set their edges join against a forest union-find (graphs
+with loops only and with isolated vertices included), bicircular
+matroids from the vertices' incidence sets against a count of edges and
+vertices per component, the
 transversal rank and basis test from one augmenting-path routine against
 two matchers, the c-Rayleigh difference of the one pass against the
 expanded formula and against c times the Rayleigh difference plus
@@ -466,13 +468,24 @@ def named_graphs():
     return [G for G, _ in bicircular_family(6)] + [k4(), k33(), whirl3]
 
 
+# loops only, isolated vertices, no edge at all
+SPARSE_GRAPHS = [
+    MultiGraph(v=1, edges=((1, 1),)),
+    MultiGraph(v=3, edges=((1, 1), (3, 3), (3, 3))),
+    MultiGraph(v=4, edges=()),
+    MultiGraph(v=5, edges=((2, 4), (4, 2), (4, 4))),
+    MultiGraph(v=6, edges=((1, 2), (2, 3), (3, 1), (5, 5))),
+]
+
+
 def test_graphic_matches_forest_union_find(named_graphs):
-    for G in random_graphs(41) + named_graphs:
+    for G in random_graphs(41) + named_graphs + SPARSE_GRAPHS:
         assert graphic(G) == reference_graphic(G)
+    assert [graphic(G).basis_masks for G in SPARSE_GRAPHS[:3]] == [(0,), (0,), (0,)]
 
 
 def test_bicircular_matches_reference(named_graphs):
-    for G in random_graphs(43) + named_graphs:
+    for G in random_graphs(43) + named_graphs + SPARSE_GRAPHS:
         assert bicircular(G) == reference_bicircular(G)
 
 
@@ -1012,7 +1025,7 @@ def circuit_gluing_two_sum(M, p, N, q):
         if all(not B & bit for B in mat.basis_masks) or all(B & bit for B in mat.basis_masks):
             raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
     pbit, qbit = 1 << (p - 1), 1 << (q - 1)
-    cm, cn = circuits(M).masks, circuits(N).masks
+    cm, cn = circuits(M), circuits(N)
     m_thru = _squeeze([c for c in cm if c & pbit], pbit)
     n_thru = {d << (M.n - 1) for d in _squeeze([d for d in cn if d & qbit], qbit)}
     circ = _squeeze([c for c in cm if not c & pbit], pbit)
