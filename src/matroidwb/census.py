@@ -184,14 +184,16 @@ class CensusJob:
     workers: int = 1
     out_csv: str = "census.csv"
     witness_dir: str = "witnesses"
-    limit: int = 1000
+    limit: int | None = None  # None: every instance
     parsed_checks: list[tuple[str, Fraction | None]] = field(init=False)
 
     def __post_init__(self):
         if not self.checks:
             raise ValueError("a census needs at least one check")
         refuse_below("a census", 0, seed=self.seed)
-        refuse_below("a census", 1, budget=self.budget, limit=self.limit, workers=self.workers)
+        refuse_below("a census", 1, budget=self.budget, workers=self.workers)
+        if self.limit is not None:
+            refuse_below("a census", 1, limit=self.limit)
         self.parsed_checks = [_parse_check(c) for c in self.checks]
         columns: dict[str, str] = {}
         for check, (name, _) in zip(self.checks, self.parsed_checks):
@@ -210,7 +212,8 @@ class CensusJob:
 
 
 def _instances(job: CensusJob) -> Iterator[tuple[str, str, Matroid]]:
-    """The first job.limit instances of the family as (id, params, M)."""
+    """The first job.limit instances of the family, or all of them when it
+    is None, as (id, params, M)."""
     fam, params = job.family, job.params
     if fam == "lpm":
         total = params["max_total"]

@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes that decide instances at once (default 1); rows are written in "
         "id order as they are decided, the same rows for any count",
     )
-    s.add_argument("--limit", type=int, default=1000)
+    s.add_argument("--limit", type=int, help="check only the first LIMIT instances (default: all)")
     s.add_argument("--out", default="census.csv")
     s.add_argument("--witness-dir", dest="witness_dir", default="witnesses")
 

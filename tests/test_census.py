@@ -1,11 +1,11 @@
 """Census orchestration: the CSV does not depend on the worker count, a
 stopped census keeps its finished rows and its rerun writes what an
 unstopped one does, a census stopped by Ctrl-C says so in one line, the
-limit is the number of rows of every family, each check writes its own
-column and no two checks write one, a bad check, family param, count or
-seed is refused when the job is made, a census resumes only a CSV of its
-own job, and each census cell is what `check --prop` prints without a
-pair."""
+limit is the number of rows of every family and no limit is every
+instance, each check writes its own column and no two checks write one, a
+bad check, family param, count or seed is refused when the job is made, a
+census resumes only a CSV of its own job, and each census cell is what
+`check --prop` prints without a pair."""
 import json
 import re
 from collections import Counter
@@ -181,6 +181,15 @@ def test_limit_is_the_number_of_rows(tmp_path, family, params):
     assert [i[-5:] for i in ids] == ["00000", "00001", "00002"]
 
 
+def test_no_limit_is_every_instance(tmp_path):
+    out = tmp_path / "c.csv"
+    argv = ["census", "--family", "lpm", "--params", "max_total=7", "--checks", "paving",
+            "--out", str(out), "--witness-dir", str(tmp_path / "wit")]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2054
+    assert json.loads((tmp_path / "c.csv.job.json").read_text())["limit"] is None
+
+
 def test_a_census_stopped_by_ctrl_c_says_that_the_same_command_resumes_it(
     tmp_path, monkeypatch, capsys
 ):
@@ -313,6 +322,7 @@ def test_a_census_resumes_its_own_job(tmp_path):
         ({"seed": 6}, "seed"),
         ({"budget": 3000}, "budget"),
         ({"limit": 4}, "limit"),
+        ({"limit": None}, "limit"),  # a CSV made under the old default of 1000
     ],
 )
 def test_a_census_refuses_the_csv_of_another_job(tmp_path, changes, field):

@@ -1,7 +1,8 @@
 """Positroid recognition: the interval search against brute force over
 base-sorting orders, pinned atlas results, invariances, the size cap, the
-CLI outcome and the census columns; the bicircular family against the
-filter it replaced."""
+CLI outcome and the census columns; the merge test against a key-sort
+reference and at every cyclic shift of an order; the bicircular family
+against the filter it replaced."""
 import csv
 import json
 import random
@@ -185,21 +186,72 @@ class TestNoBruteForce:
         assert calls == []
 
     @pytest.mark.parametrize("name", ["W3", "U24"])
-    def test_positroid_rechecks_only_the_shifts(self, calls, name):
-        M = named_atlas(name)
-        order = positroid_verdict(M)
-        assert sorted(calls) == sorted(order[k:] + order[:k] for k in range(M.n))
+    def test_positroid_rechecks_only_the_found_order(self, calls, name):
+        order = positroid_verdict(named_atlas(name))
+        assert calls == [order]
+
+
+def alternate_bits(rest):
+    """Reference split: the 1st, 3rd, 5th, ... lowest bits of a mask, one
+    bit at a time."""
+    odd = 0
+    while rest:
+        low = rest & -rest
+        odd |= low
+        rest ^= low
+        rest ^= rest & -rest
+    return odd
+
+
+def orders_to_try(M, rng, tries):
+    """Random orders of M's ground set, and its found order, if any, at a
+    random cyclic shift."""
+    orders = []
+    for _ in range(tries):
+        order = list(range(1, M.n + 1))
+        rng.shuffle(order)
+        orders.append(tuple(order))
+    found = positroid_verdict(M)
+    if found:
+        k = rng.randrange(M.n)
+        orders.append(found[k:] + found[:k])
+    return orders
 
 
 class TestBaseSorting:
     def test_matches_key_sort_reference(self):
         rng = random.Random(11)
         cases = list(sparse_paving_family(7, 3)) + [named_atlas("MK4"), named_atlas("W3")]
+        cases += [M for _, M in bicircular_family(5)][::3]
+        cases += list(islice(sparse_paving_family(8, 4), 0, 270, 10))
+        seen = set()
         for M in cases:
-            for _ in range(6):
-                order = list(range(1, M.n + 1))
-                rng.shuffle(order)
-                assert is_base_sorting_order(M, order) == sorts_bases_by_key(M, order)
+            for order in orders_to_try(M, rng, 6):
+                sorting = is_base_sorting_order(M, order)
+                assert sorting == sorts_bases_by_key(M, order), (M, order)
+                seen.add(sorting)
+        assert seen == {True, False}
+
+    def test_every_cyclic_shift_gives_the_same_answer(self):
+        """Two bases have an even symmetric difference, so a shift of the
+        order at most swaps the two halves of every merge."""
+        rng = random.Random(17)
+        cases = list(sparse_paving_family(7, 3)) + list(islice(sparse_paving_family(8, 4), 40))
+        cases += [M for _, M in bicircular_family(5)] + [M for _, M in lpm_family(6)][::5]
+        cases += [named_atlas(name) for name in ("U24", "MK4", "W3", "BK33", "TicTacToe")]
+        answers = []
+        for M in cases:
+            for order in orders_to_try(M, rng, 3):
+                answers.append(is_base_sorting_order(M, order))
+                assert all(
+                    is_base_sorting_order(M, order[k:] + order[:k]) == answers[-1]
+                    for k in range(1, M.n)
+                ), (M, order)
+        assert min(answers.count(True), answers.count(False)) > 200
+
+    def test_odd_parts_match_the_bitwise_alternation(self):
+        for n in range(13):
+            assert classifiers._odd_parts(n) == tuple(map(alternate_bits, range(1 << n)))
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -211,6 +263,7 @@ class TestSizeCap:
         M = lattice_path(LatticePathPair("ENENENENENEN", "NENENENENENE"))
         assert M.n == 12
         assert positroid_verdict(M) == tuple(range(1, 13))
+        assert positroid_verdict(uniform(6, 12)) == tuple(range(1, 13))
 
     def test_thirteen_elements_raise_typed_error(self):
         with pytest.raises(SizeCapExceeded) as info:
