@@ -23,13 +23,11 @@ from . import verdicts
 from .core import (
     FamilyClasses,
     Matroid,
+    _minor_masks,
     _pair_degrees,
     connected_components,
-    contract,
-    delete,
     mask_of,
     restriction,
-    set_of,
 )
 from .poly import BoundedPoly, basis_poly, rayleigh_diff
 from .ratlp import solve_eq_nonneg
@@ -265,33 +263,38 @@ def neg_corr_all_pairs(M: Matroid) -> Verdict:
 
 
 def _minor_reps(M: Matroid):
-    """Isomorphism-class representatives of all minors with >= 2 elements."""
+    """Isomorphism-class representatives (minor, I, D) of all minors with >= 2
+    elements: M/I, I independent, then deleted by D in M/I's labels.  Candidate
+    minors are sorted tuples of basis masks; only a new class is built."""
     classes = FamilyClasses()
-    elems = list(range(1, M.n + 1))
+    indep = M._indep_table()
     for kc in range(0, M.r + 1):
-        for I in combinations(elems, kc):
-            if I and not M.is_independent(I):
+        for I in combinations(range(1, M.n + 1), kc):
+            imask = mask_of(I)
+            if not indep[imask]:
                 continue
-            M1 = contract(M, I) if I else M
-            for kd in range(0, M1.n - 1):
-                for D in combinations(range(1, M1.n + 1), kd):
-                    M2 = delete(M1, D) if D else M1
-                    if classes.is_new(M2.n, M2.basis_masks):
-                        yield M2, set_of(mask_of(I)), set_of(mask_of(D))
+            n1, masks1 = M.n - kc, _minor_masks(M.basis_masks, imask, max)
+            for kd in range(0, n1 - 1):
+                for D in combinations(range(1, n1 + 1), kd):
+                    masks2 = _minor_masks(masks1, mask_of(D), min) if D else masks1
+                    if classes.is_new(n1 - kd, masks2):
+                        yield Matroid(n1 - kd, masks2, validate=False), frozenset(I), frozenset(D)
 
 
 def is_balanced(M: Matroid) -> Verdict:
-    """Negative correlation for M and all of its minors."""
+    """Negative correlation for M and all of its minors; a Holds records in
+    ``minor_classes`` how many isomorphism classes of minors it checked."""
     if M.n > 10:
         raise SizeCapExceeded("balance check capped at n = 10")
-    for minor, I, D in _minor_reps(M):
+    classes = 0
+    for classes, (minor, I, D) in enumerate(_minor_reps(M), 1):
         v = neg_corr_all_pairs(minor)
         if not v.holds:
             v.diagnostics.update(
                 {"property": "balanced", "contracted": sorted(I), "deleted_after": sorted(D)}
             )
             return v
-    return verdicts.holds(ALL_ONES_EXACT, property="balanced")
+    return verdicts.holds(ALL_ONES_EXACT, property="balanced", minor_classes=classes)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ class Matroid:
     The constructor checks the basis exchange axiom unless ``validate`` is
     false; :func:`from_bases` also checks the labels of the given sets.
     Minors are built with ``validate=False``: a minor of a matroid is one.
+    The balance check's candidate minors are mask tuples (:func:`_minor_masks`).
     """
 
     __slots__ = (
@@ -282,13 +283,17 @@ def _ground_mask(M: Matroid, S: Iterable[int] | int) -> int:
     return smask
 
 
-def _minor(M: Matroid, smask: int, pick) -> Matroid:
-    """The bases B whose |B & smask| is the pick (min: deletion, max:
-    contraction) over all bases, with smask squeezed out; not re-validated."""
-    sizes = [popcount(B & smask) for B in M.basis_masks]
+def _minor_masks(masks: Sequence[int], smask: int, pick) -> tuple[int, ...]:
+    """The sorted masks B whose |B & smask| is the pick (min: deletion, max:
+    contraction) over all masks, with smask squeezed out: a minor's bases."""
+    sizes = [popcount(B & smask) for B in masks]
     k = pick(sizes)
-    masks = [B for B, size in zip(M.basis_masks, sizes) if size == k]
-    return Matroid(M.n - popcount(smask), _squeeze(masks, smask), validate=False)
+    return tuple(sorted(_squeeze([B for B, size in zip(masks, sizes) if size == k], smask)))
+
+
+def _minor(M: Matroid, smask: int, pick) -> Matroid:
+    """The minor of :func:`_minor_masks` as a matroid; not re-validated."""
+    return Matroid(M.n - popcount(smask), _minor_masks(M.basis_masks, smask, pick), validate=False)
 
 
 def delete(M: Matroid, S: Iterable[int]) -> Matroid:

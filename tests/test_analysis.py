@@ -1,28 +1,32 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
-the pinned sparse-paving census, the float search and its refinement, and
-the nice principal-extension weights of the paper's example."""
+the pinned sparse-paving census, the balance check against a brute-force
+scan of every minor, the known-truth sets, the float search and its
+refinement, and the nice principal-extension weights of the paper's
+example."""
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import matroidwb
-from matroidwb import analysis, constructions
+from matroidwb import analysis, constructions, core
 from matroidwb.census import _instance_seed
-from matroidwb.classifiers import sparse_paving_family
+from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
 from matroidwb.constructions import (
     lattice_path,
     lattice_path_pair_from_endpoints,
+    named_atlas,
     principal_extension,
     uniform,
 )
-from matroidwb.core import Matroid, contract, delete, direct_sum, mask_of
+from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
 from matroidwb.sos import GramCertificate
@@ -178,6 +182,45 @@ def recount(M, e, f):
     return Ne * Nf - N * Nef
 
 
+def balance_report(v):
+    """The outcome and, for a Fails, the minor, pair and witness value."""
+    if v.holds:
+        return ("Holds",)
+    d = v.diagnostics
+    return ("Fails", d["contracted"], d["deleted_after"], d["pair"], v.witness.value)
+
+
+def reference_balance(M):
+    """Every minor, with no class dedup: each (I independent, D) in the
+    stream's order through the public contract and delete, checked with
+    neg_corr_all_pairs up to the first Fails.  The checks are memoised on
+    the exact bases, which changes no answer."""
+    checked = {}
+    for kc in range(M.r + 1):
+        for I in combinations(range(1, M.n + 1), kc):
+            if not M.is_independent(I):
+                continue
+            M1 = contract(M, I)
+            for kd in range(M1.n - 1):
+                for D in combinations(range(1, M1.n + 1), kd):
+                    N = delete(M1, D)
+                    if N not in checked:
+                        checked[N] = analysis.neg_corr_all_pairs(N)
+                    v = checked[N]
+                    if not v.holds:
+                        return ("Fails", list(I), list(D), v.diagnostics["pair"], v.witness.value)
+    return ("Holds",)
+
+
+BALANCE_SETS = {
+    "bc5": lambda: (M for _, M in bicircular_family(5)),
+    "sp7-3": lambda: sparse_paving_family(7, 3),
+    "sp8-4": lambda: islice(sparse_paving_family(8, 4), 12),
+    "atlas": lambda: (named_atlas(name) for name in ("BK33", "MK4", "TICTACTOE", "U24", "W3")),
+    "s8": lambda: (S8, principal_extension(S8, [1, 2])),
+}
+
+
 class TestBalance:
     def test_cap_raises_typed_error(self):
         with pytest.raises(SizeCapExceeded) as info:
@@ -204,6 +247,76 @@ class TestBalance:
         assert v.witness.value == -16
         minor = delete(contract(M, d["contracted"]), d["deleted_after"])
         assert recount(minor, *d["pair"]) == -16
+
+    @pytest.mark.parametrize("name", BALANCE_SETS)
+    def test_matches_the_brute_force_reference(self, name):
+        outcomes = Counter()
+        for M in BALANCE_SETS[name]():
+            got = balance_report(analysis.is_balanced(M))
+            assert got == reference_balance(M), M
+            outcomes[got[0]] += 1
+        assert set(outcomes) == {"Fails" if name == "s8" else "Holds"}
+
+    def test_matches_the_brute_force_reference_on_random_extensions_and_deletions(self):
+        """Seeded principal extensions and single deletions of S8 and of the
+        first sp(8, 4) classes, half of them dualised, so that a Fails also
+        lives on a contraction."""
+        rng = random.Random(21)
+        sp84 = list(islice(sparse_paving_family(8, 4), 12))
+        outcomes = Counter()
+        for _ in range(150):
+            base = rng.choice([S8, rng.choice(sp84)])
+            # an extension of a sparse paving class has n = 9 and holds, the dearest case
+            if rng.random() < (0.5 if base is S8 else 0.05):
+                M = principal_extension(base, rng.sample(range(1, 9), rng.randint(1, 3)))
+            else:
+                M = delete(base, [rng.randint(1, 8)])
+            if rng.random() < 0.5:
+                M = dual(M)
+            got = balance_report(analysis.is_balanced(M))
+            assert got == reference_balance(M), M
+            outcomes["Fails on a contraction" if got[0] == "Fails" and got[1] else got[0]] += 1
+        assert set(outcomes) == {"Holds", "Fails", "Fails on a contraction"}
+
+    def test_builds_a_matroid_only_for_a_new_minor_class(self, monkeypatch):
+        """On a census class, one Matroid per minor class the stream yields,
+        and no minor through delete or contract: every binding of either
+        reaches core._minor."""
+        M = list(islice(sparse_paving_family(8, 4), 6))[-1]
+        classes = sum(1 for _ in analysis._minor_reps(M))
+        built = Counter()
+        init = Matroid.__init__
+
+        def counted(self, *args, **kwargs):
+            built["init"] += 1
+            init(self, *args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("a minor built through delete or contract")
+
+        monkeypatch.setattr(Matroid, "__init__", counted)
+        monkeypatch.setattr(core, "_minor", refuse)
+        v = analysis.is_balanced(M)
+        assert v.holds and built["init"] == classes == v.diagnostics["minor_classes"] > 40
+
+
+class TestKnownTruths:
+    """Sets on which the answer is a theorem, so a Fails is a bug: every
+    rank-3 matroid is Rayleigh (Wagner 2005), and every lattice path
+    matroid has the half-plane property (the source paper)."""
+
+    def test_rank_three_is_never_refuted_as_rayleigh(self, sp73):
+        rank3 = [M for M, _ in sp73] + [named_atlas(name) for name in ("MK4", "W3", "TICTACTOE")]
+        outcomes = Counter()
+        for k, M in enumerate(rank3):
+            assert M.r == 3
+            outcomes[analysis.rayleigh_verdict(basis_poly(M), None, 2_000, k).outcome] += 1
+        assert "Fails" not in outcomes and outcomes["Holds"] >= 7
+
+    def test_lattice_path_matroids_are_never_refuted_for_hpp(self):
+        outcomes = Counter(
+            analysis.hpp_verdict(M, 2_000, k).outcome for k, (_, M) in enumerate(lpm_family(5)))
+        assert "Fails" not in outcomes and outcomes["Holds"] > 0
 
 
 class TestSearch:

@@ -6,13 +6,18 @@ common basis, a negative seed and a budget below one are refused, c must
 be a positive rational, `--out` gets the printed JSON
 for every check, and `poly --rayleigh` and `construct minor`, `extension`,
 `truncation` and `relax` refuse an element outside the ground set, and
-`construct 2sum` a basepoint outside it."""
+`construct 2sum` a basepoint outside it, and a balance Fails names the
+minor its pair and witness live on."""
 import json
+from functools import reduce
+from itertools import combinations
+from operator import xor
 
 import pytest
 
 from matroidwb.cli import main
-from matroidwb.constructions import uniform
+from matroidwb.constructions import principal_extension, uniform
+from matroidwb.core import from_bases
 from matroidwb.io import format_matroid
 from matroidwb.poly import basis_poly
 
@@ -145,3 +150,22 @@ def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):
     assert main(args) == 4
     captured = capsys.readouterr()
     assert "element 0 is not in the ground set 1..3" in captured.err and captured.out == ""
+
+
+# binary S8: a 4-set of these GF(2) columns is a basis when no nonempty subset sums to 0
+S8_COLUMNS = (0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1101, 0b1011, 0b0111)
+
+
+def test_a_balance_fails_names_its_minor(tmp_path, u13, capsys):
+    """principal_extension(S8, [1, 2]) is negatively correlated; its
+    deletion of element 9 is S8, which is not."""
+    S8 = from_bases(8, [S for S in combinations(range(1, 9), 4) if all(
+        reduce(xor, (S8_COLUMNS[e - 1] for e in T)) for k in range(1, 5) for T in combinations(S, k))])
+    path = tmp_path / "s8p12.txt"
+    path.write_text(format_matroid(principal_extension(S8, [1, 2])))
+    assert main(["check", str(path), "--prop", "balanced"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["contracted"], payload["deleted_after"], payload["pair"]) == ([], [9], [1, 5])
+    assert len(payload["witness"]["point"]) == 9 - 1
+    assert main(["check", u13, "--prop", "balanced"]) == 0
+    assert not {"contracted", "deleted_after"} & set(json.loads(capsys.readouterr().out))
