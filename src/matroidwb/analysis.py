@@ -21,7 +21,6 @@ import numpy as np
 
 from . import verdicts
 from .core import (
-    FamilyClasses,
     Matroid,
     _minor_masks,
     _pair_degrees,
@@ -227,46 +226,37 @@ def counterexample_search(
 # negative correlation and balance
 
 
+def _neg_corr(n: int, masks: Sequence[int], pairs: Optional[Iterable[tuple[int, int]]], **diag):
+    """The pair degrees d of the bases masks, and the Fails of the first pair (e, f)
+    of pairs (None: all, lexicographically) with N_e * N_f < N * N_ef or None."""
+    d, N = _pair_degrees(n, masks), len(masks)
+    for e, f in pairs or combinations(range(1, n + 1), 2):
+        delta = d[e][e] * d[f][f] - N * d[e][f]
+        if delta < 0:
+            witness = Witness(value=Fraction(delta), point=tuple([Fraction(1)] * n))
+            return d, verdicts.fails(witness, pair=(e, f), **diag)
+    return d, None
+
+
 def neg_corr(M: Matroid, e: int, f: int) -> Verdict:
     """Exact check of N_e * N_f >= N * N_ef (uniform measure on bases)."""
     if not (1 <= e <= M.n and 1 <= f <= M.n) or e == f:
         raise ValueError(f"need two distinct elements of 1..{M.n}, got {e} and {f}")
-    be, bf = 1 << (e - 1), 1 << (f - 1)
-    N = len(M.basis_masks)
-    Ne = Nf = Nef = 0
-    for B in M.basis_masks:
-        he = bool(B & be)
-        hf = bool(B & bf)
-        Ne += he
-        Nf += hf
-        Nef += he and hf
-    delta = Ne * Nf - N * Nef
-    if delta >= 0:
-        return verdicts.holds(
-            ALL_ONES_EXACT, {"N": N, "Ne": Ne, "Nf": Nf, "Nef": Nef},
-            property="negcorr", pair=(e, f),
-        )
-    return verdicts.fails(
-        Witness(value=Fraction(delta), point=tuple([Fraction(1)] * M.n)),
-        property="negcorr", pair=(e, f),
-    )
+    d, v = _neg_corr(M.n, M.basis_masks, [(e, f)], property="negcorr")
+    counts = {"N": len(M.basis_masks), "Ne": d[e][e], "Nf": d[f][f], "Nef": d[e][f]}
+    return v or verdicts.holds(ALL_ONES_EXACT, counts, property="negcorr", pair=(e, f))
 
 
 def neg_corr_all_pairs(M: Matroid) -> Verdict:
-    """Negative correlation of every pair from one count of the pair degrees of
-    the bases; the lexicographically first failing pair gets its neg_corr verdict."""
-    d, N = _pair_degrees(M.n, M.basis_masks), len(M.basis_masks)
-    for e, f in combinations(range(1, M.n + 1), 2):
-        if d[e][e] * d[f][f] < N * d[e][f]:
-            return neg_corr(M, e, f)
-    return verdicts.holds(ALL_ONES_EXACT, property="negcorr_all_pairs")
+    """Negative correlation of every pair; a Fails names the first failing pair."""
+    _, v = _neg_corr(M.n, M.basis_masks, None, property="negcorr")
+    return v or verdicts.holds(ALL_ONES_EXACT, property="negcorr")
 
 
-def _minor_reps(M: Matroid):
-    """Isomorphism-class representatives (minor, I, D) of all minors with >= 2
-    elements: M/I, I independent, then deleted by D in M/I's labels.  Candidate
-    minors are sorted tuples of basis masks; only a new class is built."""
-    classes = FamilyClasses()
+def _minors(M: Matroid):
+    """Each distinct minor with >= 2 elements once, as (n, sorted basis masks, I, D):
+    M/I, I independent, then deleted by D in M/I's labels; I, D by size, then lex."""
+    seen = set()
     indep = M._indep_table()
     for kc in range(0, M.r + 1):
         for I in combinations(range(1, M.n + 1), kc):
@@ -276,25 +266,25 @@ def _minor_reps(M: Matroid):
             n1, masks1 = M.n - kc, _minor_masks(M.basis_masks, imask, max)
             for kd in range(0, n1 - 1):
                 for D in combinations(range(1, n1 + 1), kd):
-                    masks2 = _minor_masks(masks1, mask_of(D), min) if D else masks1
-                    if classes.is_new(n1 - kd, masks2):
-                        yield Matroid(n1 - kd, masks2, validate=False), frozenset(I), frozenset(D)
+                    minor = (n1 - kd, _minor_masks(masks1, mask_of(D), min) if D else masks1)
+                    if minor not in seen:
+                        seen.add(minor)
+                        yield (*minor, I, D)
 
 
 def is_balanced(M: Matroid) -> Verdict:
-    """Negative correlation for M and all of its minors; a Holds records in
-    ``minor_classes`` how many isomorphism classes of minors it checked."""
+    """Negative correlation for M and each distinct minor, counted on its basis
+    masks (isomorphic minors are not merged: the count is cheaper than the
+    search); a Holds records in ``minors`` how many minors it checked."""
     if M.n > 10:
         raise SizeCapExceeded("balance check capped at n = 10")
-    classes = 0
-    for classes, (minor, I, D) in enumerate(_minor_reps(M), 1):
-        v = neg_corr_all_pairs(minor)
-        if not v.holds:
-            v.diagnostics.update(
-                {"property": "balanced", "contracted": sorted(I), "deleted_after": sorted(D)}
-            )
+    minors = 0
+    for minors, (n, masks, I, D) in enumerate(_minors(M), 1):
+        _, v = _neg_corr(n, masks, None, property="balanced")
+        if v:
+            v.diagnostics.update(contracted=list(I), deleted_after=list(D))
             return v
-    return verdicts.holds(ALL_ONES_EXACT, property="balanced", minor_classes=classes)
+    return verdicts.holds(ALL_ONES_EXACT, property="balanced", minors=minors)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +325,14 @@ def _verdict_for_diff(
 
 def _all_pairs(f: BoundedPoly, check, **diag) -> Verdict:
     """check(pair) for every pair: the first verdict that does not hold, or a
-    Holds naming each pair's certificate kind."""
+    Holds keeping each pair's certificate."""
     per_pair = []
     for pair in combinations(range(1, f.n + 1), 2):
         v = check(pair)
         if not v.holds:
             return v
-        per_pair.append((pair, v.certificate.kind))
-    kind = COEFF_NONNEG if all(k == COEFF_NONNEG for _, k in per_pair) else SOS_GRAM
+        per_pair.append((pair, v.certificate))
+    kind = COEFF_NONNEG if all(c.kind == COEFF_NONNEG for _, c in per_pair) else SOS_GRAM
     return verdicts.holds(kind, per_pair, pair=None, **diag)
 
 

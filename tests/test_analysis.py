@@ -1,8 +1,8 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
 the pinned sparse-paving census, the balance check against a brute-force
-scan of every minor, the known-truth sets, the float search and its
-refinement, and the nice principal-extension weights of the paper's
-example."""
+scan of every minor, the known-truth sets, the exact replay of every
+census Holds from the basis masks, the float search and its refinement,
+and the nice principal-extension weights of the paper's example."""
 import os
 import random
 import subprocess
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import matroidwb
-from matroidwb import analysis, constructions, core
+from matroidwb import analysis, census, constructions, core
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
 from matroidwb.constructions import (
@@ -30,7 +30,7 @@ from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
 from matroidwb.sos import GramCertificate
-from matroidwb.verdicts import COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
+from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
 
 BUDGET = 20_000
 
@@ -190,12 +190,9 @@ def balance_report(v):
     return ("Fails", d["contracted"], d["deleted_after"], d["pair"], v.witness.value)
 
 
-def reference_balance(M):
-    """Every minor, with no class dedup: each (I independent, D) in the
-    stream's order through the public contract and delete, checked with
-    neg_corr_all_pairs up to the first Fails.  The checks are memoised on
-    the exact bases, which changes no answer."""
-    checked = {}
+def reference_minor_walk(M):
+    """Every (minor, I, D) with I independent and D in M/I's labels, in the
+    balance check's order, through the public contract and delete."""
     for kc in range(M.r + 1):
         for I in combinations(range(1, M.n + 1), kc):
             if not M.is_independent(I):
@@ -203,12 +200,20 @@ def reference_balance(M):
             M1 = contract(M, I)
             for kd in range(M1.n - 1):
                 for D in combinations(range(1, M1.n + 1), kd):
-                    N = delete(M1, D)
-                    if N not in checked:
-                        checked[N] = analysis.neg_corr_all_pairs(N)
-                    v = checked[N]
-                    if not v.holds:
-                        return ("Fails", list(I), list(D), v.diagnostics["pair"], v.witness.value)
+                    yield delete(M1, D), I, D
+
+
+def reference_balance(M):
+    """Every minor of the walk, with no class dedup, checked with
+    neg_corr_all_pairs up to the first Fails.  The checks are memoised on
+    the exact bases, which changes no answer."""
+    checked = {}
+    for N, I, D in reference_minor_walk(M):
+        if N not in checked:
+            checked[N] = analysis.neg_corr_all_pairs(N)
+        v = checked[N]
+        if not v.holds:
+            return ("Fails", list(I), list(D), v.diagnostics["pair"], v.witness.value)
     return ("Holds",)
 
 
@@ -278,32 +283,46 @@ class TestBalance:
             outcomes["Fails on a contraction" if got[0] == "Fails" and got[1] else got[0]] += 1
         assert set(outcomes) == {"Holds", "Fails", "Fails on a contraction"}
 
-    def test_builds_a_matroid_only_for_a_new_minor_class(self, monkeypatch):
-        """On a census class, one Matroid per minor class the stream yields,
-        and no minor through delete or contract: every binding of either
-        reaches core._minor."""
+    def test_minors_are_the_distinct_minors_of_the_walk_in_first_seen_order(self):
+        matroids = list(BALANCE_SETS["sp8-4"]()) + list(islice(BALANCE_SETS["bc5"](), 60))
+        total = 0
+        for M in matroids + list(BALANCE_SETS["atlas"]()):
+            first = {}
+            for N, I, D in reference_minor_walk(M):
+                first.setdefault((N.n, N.basis_masks), (I, D))
+            assert list(analysis._minors(M)) == [(*key, I, D) for key, (I, D) in first.items()]
+            total += len(first)
+        assert total > 2_000
+
+    def test_a_balanced_holds_builds_no_matroid(self, monkeypatch):
+        """On a census class, every distinct minor is checked on its masks:
+        no Matroid is built, and no minor reaches core._minor, which every
+        binding of delete and contract reaches."""
         M = list(islice(sparse_paving_family(8, 4), 6))[-1]
-        classes = sum(1 for _ in analysis._minor_reps(M))
-        built = Counter()
-        init = Matroid.__init__
+        minors = len(list(analysis._minors(M)))
 
-        def counted(self, *args, **kwargs):
-            built["init"] += 1
-            init(self, *args, **kwargs)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Matroid or a minor built by the balance check")
 
-        def refuse(*args):
-            raise AssertionError("a minor built through delete or contract")
-
-        monkeypatch.setattr(Matroid, "__init__", counted)
+        monkeypatch.setattr(Matroid, "__init__", refuse)
         monkeypatch.setattr(core, "_minor", refuse)
         v = analysis.is_balanced(M)
-        assert v.holds and built["init"] == classes == v.diagnostics["minor_classes"] > 40
+        assert v.holds and v.diagnostics["minors"] == minors > 40
+
+
+def known_truth_sets(sp73):
+    """sp(7,3), lpm(5), bc5 and the atlas, each with a search seed."""
+    matroids = [M for M, _ in sp73] + [M for _, M in lpm_family(5)]
+    matroids += [M for _, M in bicircular_family(5)] + list(BALANCE_SETS["atlas"]())
+    return list(enumerate(matroids))
 
 
 class TestKnownTruths:
     """Sets on which the answer is a theorem, so a Fails is a bug: every
-    rank-3 matroid is Rayleigh (Wagner 2005), and every lattice path
-    matroid has the half-plane property (the source paper)."""
+    rank-3 matroid is Rayleigh (Wagner 2005), every matroid of rank r >= 2 is
+    c-Rayleigh at c = 2(1 - 1/r) (Brändén-Huh 2020), and every lattice path
+    matroid has the half-plane property (the source paper) and so is
+    strongly Rayleigh."""
 
     def test_rank_three_is_never_refuted_as_rayleigh(self, sp73):
         rank3 = [M for M, _ in sp73] + [named_atlas(name) for name in ("MK4", "W3", "TICTACTOE")]
@@ -317,6 +336,90 @@ class TestKnownTruths:
         outcomes = Counter(
             analysis.hpp_verdict(M, 2_000, k).outcome for k, (_, M) in enumerate(lpm_family(5)))
         assert "Fails" not in outcomes and outcomes["Holds"] > 0
+
+    def test_c_rayleigh_at_two_minus_two_over_r_is_never_refuted(self, sp73):
+        matroids = known_truth_sets(sp73) + list(enumerate(islice(sparse_paving_family(8, 4), 20)))
+        outcomes = Counter()
+        for k, M in matroids:
+            if M.r >= 2:
+                c = 2 * (1 - Fraction(1, M.r))
+                outcomes[analysis.c_rayleigh_verdict(basis_poly(M), c, None, 500, k).outcome] += 1
+        assert "Fails" not in outcomes and outcomes["Holds"] > 300
+
+    def test_lattice_path_matroids_are_never_refuted_as_strongly_rayleigh(self):
+        outcomes = Counter(
+            analysis.strong_rayleigh_verdict(basis_poly(M), None, 500, k).outcome
+            for k, (_, M) in enumerate(lpm_family(5)))
+        assert "Fails" not in outcomes and outcomes["Holds"] > 0
+
+
+def replay_diff(n, masks, i, j, c):
+    """c (f_i f_j - f_ij f_0) + (c - 1) f_ij f for the basis polynomial f of
+    masks, rebuilt from the masks: x^A x^B = x^(A xor B) (x^2)^(A and B)."""
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    parts = {(bi, bj): [], (bi, 0): [], (0, bj): [], (0, 0): []}
+    for B in masks:
+        parts[B & bi, B & bj].append(B & ~(bi | bj))
+    f_ij, f_i, f_j, f_0 = parts.values()
+    terms = Counter()
+    for coeff, left, right in ((c, f_i, f_j), (-c, f_ij, f_0), (c - 1, f_ij, masks)):
+        for A in left:
+            for B in right:
+                terms[A ^ B, A & B] += coeff
+    return BoundedPoly(n, terms)
+
+
+def replays(cert, n, masks, pair, c, all_reals):
+    """One pair's certificate against the difference rebuilt from the masks."""
+    diff = replay_diff(n, masks, *pair, c)
+    if cert.kind == COEFF_NONNEG:
+        coeffs_ok = all(v >= 0 for v in diff.terms.values())
+        return coeffs_ok and not (all_reals and any(lin for lin, _ in diff.terms))
+    return cert.kind == SOS_GRAM and cert.data.verify(diff)
+
+
+# census check -> (c, on all reals); pair=None asks for all pairs
+REPLAYED_CHECKS = {
+    "rayleigh": (1, False), "strong_rayleigh": (1, True), "c_rayleigh": (Fraction(8, 7), False),
+    "hpp": (1, True), "negcorr": (None, None),
+}
+
+
+@pytest.mark.parametrize("name", REPLAYED_CHECKS)
+def test_every_census_holds_replays_from_the_basis_masks(sp73, name):
+    """Every Holds of the census check on the known-truth sets at budget 500
+    carries a proof that replays exactly from the masks: each pair's
+    CoefficientNonneg by its coefficients, SOSGram by verify, AllOnesExact
+    by a recount, and hpp's inner certificate per component."""
+    c, all_reals = REPLAYED_CHECKS[name]
+    replayed = Counter()
+    for k, M in known_truth_sets(sp73):
+        v = census.CHECKS[name].call(M, None, c, 500, k)
+        if not v.holds:
+            continue
+        cert = v.certificate
+        if name == "negcorr":
+            assert cert.kind == ALL_ONES_EXACT
+            assert all(recount(M, *pair) >= 0 for pair in combinations(range(1, M.n + 1), 2))
+            replayed[cert.kind] += 1
+        elif name == "hpp":
+            assert cert.kind == SINGLE_PAIR_WAGNER
+            for comp, (a, b), inner in cert.data:
+                out = mask_of(set(range(1, M.n + 1)) - set(comp))
+                masks = sorted(core._squeeze({B & ~out for B in M.basis_masks}, out))
+                pair = (comp.index(a) + 1, comp.index(b) + 1)
+                assert replays(inner, len(comp), masks, pair, c, all_reals), (M, comp)
+                replayed[inner.kind] += 1
+        else:
+            assert [pair for pair, _ in cert.data] == list(combinations(range(1, M.n + 1), 2))
+            inner_kinds = {inner.kind for _, inner in cert.data}
+            assert cert.kind == (COEFF_NONNEG if inner_kinds <= {COEFF_NONNEG} else SOS_GRAM)
+            for pair, inner in cert.data:
+                assert replays(inner, M.n, M.basis_masks, pair, c, all_reals), (M, pair)
+                replayed[inner.kind] += 1
+    assert sum(replayed.values()) > 100
+    if all_reals:
+        assert replayed[SOS_GRAM] > 0
 
 
 class TestSearch:

@@ -16,12 +16,12 @@ Gram elimination against the Fraction LDL^T it replaced, the uniform Gram
 over (P, Q) factors against the exponent-vector Gram it replaced, lattice
 path matroids from their paths against the transversal route, 2-sums from
 minors against the circuit gluing, and the one isomorphism-class stream
-against the two loops it replaced."""
+against the sparse-paving loop it replaced."""
 import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from operator import xor
 from typing import Optional
@@ -31,7 +31,7 @@ import pytest
 
 from matroidwb import core, sos, verdicts
 from matroidwb.analysis import (
-    _minor_reps,
+    _minors,
     _term_arrays,
     c_rayleigh_verdict,
     neg_corr,
@@ -66,7 +66,6 @@ from matroidwb.core import (
     isomorphism,
     mask_of,
     popcount,
-    set_of,
     two_sum,
 )
 from matroidwb.errors import BasepointIsSeparator
@@ -321,7 +320,7 @@ def per_pair_neg_corr_all_pairs(M):
         v = neg_corr(M, e, f)
         if not v.holds:
             return v
-    return verdicts.holds(ALL_ONES_EXACT, property="negcorr_all_pairs")
+    return verdicts.holds(ALL_ONES_EXACT, property="negcorr")
 
 
 def permuted(masks, perm):
@@ -587,10 +586,11 @@ def test_neg_corr_all_pairs_matches_the_per_pair_loop_on_random_families():
 
 @pytest.mark.parametrize("M", [S8, principal_extension(S8, [1, 2])], ids=["S8", "S8+p12"])
 def test_neg_corr_all_pairs_matches_the_per_pair_loop_on_balance_fixtures(M):
-    """Every minor representative of the is_balanced Fails fixtures,
-    including the ones that fail."""
+    """Every distinct minor of the is_balanced Fails fixtures, including the
+    ones that fail."""
     failing = 0
-    for minor, _, _ in _minor_reps(M):
+    for n, masks, _, _ in _minors(M):
+        minor = Matroid(n, masks, validate=False)
         v = neg_corr_all_pairs(minor)
         assert v == per_pair_neg_corr_all_pairs(minor)
         failing += v.fails
@@ -1085,30 +1085,6 @@ def test_two_sum_matches_the_circuit_gluing_on_random_pairs():
     assert min(kinds.values()) > 300
 
 
-def parent_minor_reps(M):
-    """The minor stream with its own exact-repeat set, fingerprint buckets and
-    isomorphism scan."""
-    seen_exact = set()
-    buckets = {}
-    for kc in range(0, M.r + 1):
-        for I in combinations(range(1, M.n + 1), kc):
-            if I and not M.is_independent(I):
-                continue
-            M1 = contract(M, I) if I else M
-            for kd in range(0, M1.n - 1):
-                for D in combinations(range(1, M1.n + 1), kd):
-                    M2 = delete(M1, D) if D else M1
-                    key = (M2.n, M2.basis_masks)
-                    if key in seen_exact:
-                        continue
-                    seen_exact.add(key)
-                    bucket = buckets.setdefault(family_fingerprint(M2.n, M2.basis_masks), [])
-                    if any(isomorphism(M2, other) is not None for other in bucket):
-                        continue
-                    bucket.append(M2)
-                    yield M2, set_of(mask_of(I)), set_of(mask_of(D))
-
-
 def parent_sparse_paving_family(n, r, limit=1000):
     """The sparse paving stream with its own per-level buckets and
     exact-repeat set of index tuples."""
@@ -1166,21 +1142,6 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(core, "family_isomorphism", counted)
     return calls
-
-
-def test_minor_reps_match_the_parent_stream(searches):
-    matroids = list(islice(sparse_paving_family(8, 4), 12))
-    matroids += [M for _, M in islice(bicircular_family(5), 60)]
-    matroids += [named_atlas(name) for name in ATLAS]
-    total = 0
-    for M in matroids:
-        searches.clear()
-        new = list(_minor_reps(M))
-        calls = searches.pop("search", 0)
-        assert new == list(parent_minor_reps(M))
-        assert calls == searches["search"], M
-        total += calls
-    assert total > 900
 
 
 @pytest.mark.parametrize("n, r", [(5, 2), (6, 3), (7, 3), (7, 4), (8, 3), (8, 4)])
