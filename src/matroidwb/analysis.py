@@ -5,10 +5,12 @@ exactly re-verified witness, or Inconclusive with diagnostics.  A polynomial
 nonnegativity question runs through three tiers, cheapest first:
 nonnegative coefficients, the closed-form uniform Gram certificate (exactly
 verified by :mod:`matroidwb.sos` before it is returned), and the float
-counterexample search.  The uniform Gram precedes the search because it is
-cheaper and an exact certificate rules out every witness.  Floats are used
-only to hunt for candidates; every candidate is rounded to rationals and
-re-evaluated exactly before it is believed.
+counterexample search.  A sum of squares is nonnegative everywhere, so the
+Gram tier is the same on all reals and on the positive orthant.  The uniform
+Gram precedes the search because it is cheaper and an exact certificate
+rules out every witness.  Floats are used only to hunt for candidates;
+every candidate is rounded to rationals and re-evaluated exactly before it
+is believed.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .core import (
 from .poly import BoundedPoly, basis_poly, rayleigh_diff
 from .ratlp import solve_eq_nonneg
 from .errors import SizeCapExceeded, WitnessNotVerified
-from .sos import MAX_GRAM_VARS, sos_certificate, sos_certificate_orthant
+from .sos import MAX_GRAM_VARS, sos_certificate
 from .verdicts import (
     COEFF_NONNEG,
     SINGLE_PAIR_WAGNER,
@@ -312,8 +314,7 @@ def _verdict_for_diff(
             return verdicts.holds(COEFF_NONNEG, tiers_run=tiers, **diag)
     if len(diff.active_vars()) <= MAX_GRAM_VARS:
         tiers.append("gram")
-        square = domain == POSITIVE_ORTHANT
-        cert = sos_certificate_orthant(diff) if square else sos_certificate(diff)
+        cert = sos_certificate(diff)
         if cert is not None:
             return verdicts.holds(SOS_GRAM, cert, tiers_run=tiers, **diag)
     tiers.append("search")

@@ -141,7 +141,7 @@ def cmd_check(args) -> int:
     if isinstance(result, Verdict):
         wall_ms = int((time.perf_counter() - start) * 1000)
         payload = wio.verdict_to_json(
-            result, prop, args.matroid, pair=pair, seed=args.seed, wall_ms=wall_ms
+            result, prop, args.matroid, seed=args.seed, wall_ms=wall_ms
         )
         code = {HOLDS: 0, FAILS: 1, INCONCLUSIVE: 2}[result.outcome]
     else:  # a classifier: a bool, or a positroid order

@@ -142,7 +142,6 @@ def verdict_to_json(
     v: Verdict,
     property_name: str,
     matroid_id: str,
-    pair=None,
     seed: Optional[int] = None,
     wall_ms: Optional[int] = None,
 ) -> dict:
@@ -152,7 +151,7 @@ def verdict_to_json(
         "outcome": v.outcome,
         "tiers_run": v.diagnostics.get("tiers_run", []),
     }
-    pair = pair or v.diagnostics.get("pair")
+    pair = v.diagnostics.get("pair")
     if pair:
         out["pair"] = list(pair)
     out.update({k: v.diagnostics[k] for k in ("contracted", "deleted_after") if k in v.diagnostics})

@@ -29,7 +29,7 @@ from matroidwb.constructions import (
 from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
-from matroidwb.sos import GramCertificate
+from matroidwb.sos import GramCertificate, sos_certificate
 from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
 
 BUDGET = 20_000
@@ -66,6 +66,15 @@ class TestTiers:
         assert v.holds and v.certificate.kind == SOS_GRAM
         assert v.certificate.data.verify(rayleigh_diff(f, 1, 2))
         assert v.diagnostics["tiers_run"] == ["coeff", "gram"]
+
+    def test_the_orthant_gram_tier_is_the_plain_sum_of_squares(self):
+        # (x1 - x2)^2 has a negative coefficient, so the coefficient tier
+        # passes it on; a sum of squares holds on the orthant too
+        p = BoundedPoly(2, {(0, 0b01): 1, (0b11, 0): -2, (0, 0b10): 1})
+        v = analysis._verdict_for_diff(p, analysis.POSITIVE_ORTHANT, 500, 0, diag={})
+        assert v.holds and v.certificate.kind == SOS_GRAM
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram"]
+        assert v.certificate.data == sos_certificate(p) and v.certificate.data.verify(p)
 
     def test_each_gram_holds_verifies_its_certificate_once(self, sp73, monkeypatch):
         calls = []

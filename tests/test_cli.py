@@ -6,8 +6,9 @@ common basis, a negative seed and a budget below one are refused, c must
 be a positive rational, `--out` gets the printed JSON
 for every check, and `poly --rayleigh` and `construct minor`, `extension`,
 `truncation` and `relax` refuse an element outside the ground set, and
-`construct 2sum` a basepoint outside it, and a balance Fails names the
-minor its pair and witness live on."""
+`construct 2sum` a basepoint outside it, a balance Fails names the
+minor its pair and witness live on, and the JSON of `check --pair` is
+pinned."""
 import json
 from functools import reduce
 from itertools import combinations
@@ -118,6 +119,33 @@ def test_poly_rayleigh_pair_outside_the_ground_set_is_an_error(u24, pair, capsys
     assert main(["poly", u24, "--rayleigh", *pair]) == 4
     captured = capsys.readouterr()
     assert "two distinct variables of 1..4" in captured.err and captured.out == ""
+
+
+# `check --pair` prints the verdict's own pair, in the order given; the
+# JSON is pinned byte for byte but for its last line, wall_ms
+PAIR_JSON = """{{
+  "certificate_kind": "{kind}",
+  "matroid_id": "{path}",
+  "outcome": "Holds",
+  "pair": [
+    3,
+    1
+  ],
+  "property": "{prop}",
+  "seed": 0,
+  "tiers_run": {tiers},
+"""
+
+
+@pytest.mark.parametrize("prop,kind,tiers", [
+    ("negcorr", "AllOnesExact", "[]"),
+    ("rayleigh", "CoefficientNonneg", '[\n    "coeff"\n  ]'),
+], ids=["negcorr", "rayleigh"])
+def test_check_pair_json_is_pinned(u24, prop, kind, tiers, capsys):
+    assert main(["check", u24, "--prop", prop, "--pair", "3,1"]) == 0
+    head, wall_ms = capsys.readouterr().out.split('  "wall_ms": ')
+    assert head == PAIR_JSON.format(kind=kind, path=u24, prop=prop, tiers=tiers)
+    assert wall_ms[:-3].isdigit() and wall_ms.endswith("\n}\n")
 
 
 def test_poly_rayleigh_prints_the_difference(u24, capsys):

@@ -13,7 +13,7 @@ degrees against a neg_corr call per pair, the one-pass Rayleigh difference
 against term-dict arithmetic over the pair decomposition, the search's term
 arrays from the term-key masks against the loop over the terms, the integer
 Gram elimination against the Fraction LDL^T it replaced, the uniform Gram
-over (P, Q) factors against the exponent-vector Gram it replaced, lattice
+over monomial masks against the exponent-vector Gram it replaced, lattice
 path matroids from their paths against the transversal route, 2-sums from
 minors against the circuit gluing, and the one isomorphism-class stream
 against the sparse-paving loop it replaced."""
@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import lcm
 from operator import xor
 from typing import Optional
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from matroidwb import core, sos, verdicts
+from matroidwb import analysis, core, sos, verdicts
 from matroidwb.analysis import (
     _minors,
     _term_arrays,
@@ -850,18 +850,16 @@ def test_integer_elimination_matches_the_fraction_ldlt_on_random_matrices():
     assert min(decided.values()) > 1500
 
 
-def poly_to_exponents(p, var_ids, double):
-    """p as a map from exponent tuples over var_ids to its coefficients;
-    double=True substitutes x_i = y_i^2 (doubling all exponents)."""
+def poly_to_exponents(p, var_ids):
+    """p as a map from exponent tuples over var_ids to its coefficients."""
     idx = {v: k for k, v in enumerate(var_ids)}
-    one, two = (2, 4) if double else (1, 2)
     out = {}
     for (lin, sq), c in p.terms.items():
         e = [0] * len(var_ids)
         for v in elements(lin):
-            e[idx[v]] = one
+            e[idx[v]] = 1
         for v in elements(sq):
-            e[idx[v]] = two
+            e[idx[v]] = 2
         out[tuple(e)] = c
     return out
 
@@ -883,94 +881,62 @@ def multiaffine_basis(target, k):
     return out
 
 
-def even_basis(target, k):
-    """Exponent vectors for an even target (all exponents even, max 4),
-    grouped into parity classes."""
-    if not target:
-        return []
-    maxdeg = max(sum(e) for e in target)
-    mindeg = min(sum(e) for e in target)
-    cap = [max(e[i] for e in target) // 2 for i in range(k)]
-    lo, hi = (mindeg + 1) // 2, maxdeg // 2
-    groups = {}
-    for e in product(*(range(c + 1) for c in cap)):
-        if lo <= sum(e) <= hi:
-            groups.setdefault(tuple(x % 2 for x in e), []).append(e)
-    return [groups[key] for key in sorted(groups)]
+def as_mask(e, var_ids):
+    """A 0/1 exponent vector as the mask Q of its monomial x^Q."""
+    return sum(1 << (v - 1) for v, x in zip(var_ids, e) if x)
 
 
-def as_factor(e, var_ids, square):
-    """An exponent vector as the factor (P, Q): in a plain basis exponent 1
-    goes to Q; in an orthant basis exponent 1 goes to P and 2 to Q."""
-    P = Q = 0
-    for v, x in zip(var_ids, e):
-        bit = 1 << (v - 1)
-        if x == 2 or x == 1 and not square:
-            Q |= bit
-        elif x == 1:
-            P |= bit
-    return P, Q
-
-
-def reference_uniform_gram(p, square):
-    """The uniform Gram of p (of p(y^2) when square) in Fractions over the
-    exponent-vector bases that sos built before its factors became term-key
-    masks: a map from each pair of factors, as (P, Q), to its entry; None
-    when no Gram matrix over the basis reproduces p or when it is not PSD."""
+def reference_uniform_gram(p):
+    """The uniform Gram of p in Fractions over the exponent-vector basis that
+    sos built before its monomials became masks: a map from each pair of
+    basis masks to its entry; None when no Gram matrix over the basis
+    reproduces p or when it is not PSD."""
     var_ids = tuple(sorted(p.active_vars()))
     k = len(var_ids)
-    target = poly_to_exponents(p, var_ids, square)
-    if square:
-        blocks = even_basis(target, k)
-    elif any(any(e[i] for e in target) and not any(e[i] == 2 for e in target) for i in range(k)):
+    target = poly_to_exponents(p, var_ids)
+    if any(any(e[i] for e in target) and not any(e[i] == 2 for e in target) for i in range(k)):
         return None
-    else:
-        blocks = [multiaffine_basis(target, k)]
-    blocks = [b for b in blocks if b]
+    basis = multiaffine_basis(target, k)
     groups = {}
-    for bi, basis in enumerate(blocks):
-        for i, mi in enumerate(basis):
-            for j, mj in enumerate(basis):
-                groups.setdefault(tuple(x + y for x, y in zip(mi, mj)), []).append((bi, i, j))
+    for i, mi in enumerate(basis):
+        for j, mj in enumerate(basis):
+            groups.setdefault(tuple(x + y for x, y in zip(mi, mj)), []).append((i, j))
     if any(sig not in groups for sig in target):
         return None
-    mats = [[[Fraction(0)] * len(basis) for _ in basis] for basis in blocks]
+    mat = [[Fraction(0)] * len(basis) for _ in basis]
     for sig, entries in groups.items():
-        for bi, i, j in entries:
-            mats[bi][i][j] = Fraction(target.get(sig, 0)) / len(entries)
-    if not all(reference_is_psd(m) for m in mats):
+        for i, j in entries:
+            mat[i][j] = Fraction(target.get(sig, 0)) / len(entries)
+    if not reference_is_psd(mat):
         return None
     return {
-        (as_factor(a, var_ids, square), as_factor(b, var_ids, square)): q
-        for basis, m in zip(blocks, mats)
-        for a, row in zip(basis, m)
+        (as_mask(a, var_ids), as_mask(b, var_ids)): q
+        for a, row in zip(basis, mat)
         for b, q in zip(basis, row)
     }
 
 
-def expansion(blocks, scale=1):
-    """The sum over blocks of m^T G m over scale, as term keys: one P per
-    block, so factors (P, Qa) and (P, Qb) multiply to x^P x^Qa x^Qb."""
+def expansion(basis, matrix, scale=1):
+    """m^T G m over scale, as term keys: x^Qa x^Qb has the key
+    (Qa ^ Qb, Qa & Qb)."""
     out = {}
-    for basis, matrix in blocks:
-        assert len({P for P, _ in basis}) <= 1
-        for (P, a), row in zip(basis, matrix):
-            for (_, b), q in zip(basis, row):
-                key = (P | (a ^ b), a & b)
-                out[key] = out.get(key, 0) + Fraction(q) / scale
+    for a, row in zip(basis, matrix):
+        for b, q in zip(basis, row):
+            key = (a ^ b, a & b)
+            out[key] = out.get(key, 0) + Fraction(q) / scale
     return {key: c for key, c in out.items() if c}
 
 
 def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle(monkeypatch):
     calls = []
-    certify = sos._certify
+    certify = analysis.sos_certificate
 
-    def recorded(p, square):
-        cert = certify(p, square)
-        calls.append((p, square, cert))
+    def recorded(p):
+        cert = certify(p)
+        calls.append((p, cert))
         return cert
 
-    monkeypatch.setattr(sos, "_certify", recorded)
+    monkeypatch.setattr(analysis, "sos_certificate", recorded)
     matroids = [M for _, M in lpm_family(5)] + list(sparse_paving_family(7, 3))
     for M in matroids + [named_atlas(name) for name in ATLAS]:
         f = basis_poly(M)
@@ -979,16 +945,15 @@ def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle
         for c in (Fraction(8, 7), 2):
             c_rayleigh_verdict(f, c, budget=200)
     accepted = 0
-    for p, square, cert in calls:
-        ref = reference_uniform_gram(p, square)
+    for p, cert in calls:
+        ref = reference_uniform_gram(p)
         assert (cert is not None) == (ref is not None)
         if cert is not None:
             accepted += 1
-            blocks = [(b.basis, b.matrix) for b in cert.blocks]
-            assert expansion(blocks, cert.scale) == p.terms
-            assert all(reference_is_psd(m) for _, m in blocks)
-            assert {(a, b): Fraction(q, cert.scale) for basis, m in blocks
-                    for a, row in zip(basis, m) for b, q in zip(basis, row)} == ref
+            assert expansion(cert.basis, cert.matrix, cert.scale) == p.terms
+            assert reference_is_psd(cert.matrix)
+            assert {(a, b): Fraction(q, cert.scale) for a, row in zip(cert.basis, cert.matrix)
+                    for b, q in zip(cert.basis, row)} == ref
             assert cert.scale == lcm(*(q.denominator for q in ref.values()))
     assert accepted > 100 and len(calls) - accepted > 10
 
