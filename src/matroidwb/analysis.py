@@ -307,7 +307,9 @@ def _verdict_for_diff(
 ) -> Verdict:
     """Nonnegativity of diff on the domain by the tiers of the module
     docstring: "coeff", "gram", then "search".  ``tiers_run`` lists the
-    tiers that ran, in order."""
+    tiers that ran, in order; an Inconclusive's ``reason`` says why the Gram
+    tier gave no proof: "gram_not_psd" (it ran) or "gram_var_cap" (more than
+    MAX_GRAM_VARS active variables)."""
     tiers = ["coeff"]
     if all(c >= 0 for c in diff.terms.values()):
         if domain == POSITIVE_ORTHANT or all(lin == 0 for (lin, _) in diff.terms):
@@ -321,7 +323,10 @@ def _verdict_for_diff(
     sr = counterexample_search(diff, domain, budget=budget, seed=seed)
     if sr.witness is not None:
         return verdicts.fails(sr.witness, tiers_run=tiers, evals=sr.evals, best=sr.best, **diag)
-    return verdicts.inconclusive(tiers_run=tiers, best=sr.best, evals=sr.evals, **diag)
+    return verdicts.inconclusive(
+        tiers_run=tiers, best=sr.best, evals=sr.evals,
+        reason="gram_not_psd" if "gram" in tiers else "gram_var_cap", **diag,
+    )
 
 
 def _all_pairs(f: BoundedPoly, check, **diag) -> Verdict:
@@ -419,7 +424,7 @@ def hpp_verdict(M: Matroid, budget: int = 100_000, seed: int = 0) -> Verdict:
         v = strong_rayleigh_verdict(basis_poly(sub), pair, budget=budget, seed=seed)
         tiers.extend(v.diagnostics.get("tiers_run", []))
         orig_pair = (comp_sorted[pair[0] - 1], comp_sorted[pair[1] - 1])
-        search = {k: v.diagnostics[k] for k in ("evals", "best") if k in v.diagnostics}
+        search = {k: v.diagnostics[k] for k in ("evals", "best", "reason") if k in v.diagnostics}
         if v.fails:
             lifted = [Fraction(1)] * M.n
             for idx, e in enumerate(comp_sorted):

@@ -52,6 +52,15 @@ def _int_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
 
 
+def _element_set(s: str) -> list[int]:
+    """The elements of a comma-separated set, refusing one listed twice."""
+    S = _int_list(s)
+    for i, e in enumerate(S):
+        if e in S[:i]:
+            raise ValueError(f"element {e} listed twice")
+    return S
+
+
 def _emit_matroid(M, out: str | None, comments=None) -> None:
     text = wio.format_matroid(M, comments=comments)
     if out:
@@ -99,21 +108,21 @@ def cmd_construct(args) -> int:
         M = _load_matroid(args.infile)
         comments = []
         if args.contract:
-            S = _int_list(args.contract)
+            S = _element_set(args.contract)
             mapping = relabel_map(M.n, S)
             comments.append(f"contracted {sorted(S)}; old->new {mapping}")
             M = contract(M, S)
         if args.delete:
-            S = _int_list(args.delete)
+            S = _element_set(args.delete)
             mapping = relabel_map(M.n, S)
             comments.append(f"deleted {sorted(S)}; old->new {mapping}")
             M = delete(M, S)
     elif kind == "extension":
-        M = principal_extension(_load_matroid(args.infile), _int_list(args.set))
+        M = principal_extension(_load_matroid(args.infile), _element_set(args.set))
     elif kind == "truncation":
-        M = principal_truncation(_load_matroid(args.infile), _int_list(args.set))
+        M = principal_truncation(_load_matroid(args.infile), _element_set(args.set))
     elif kind == "relax":
-        M = relax(_load_matroid(args.infile), _int_list(args.set))
+        M = relax(_load_matroid(args.infile), _element_set(args.set))
     else:  # pragma: no cover
         raise ValueError(kind)
     _emit_matroid(M, args.out, comments)
@@ -357,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p = with_out(csub.add_parser("minor"))
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--delete", help="comma-separated elements")
+    p.add_argument(
+        "--delete",
+        help="comma-separated elements, labelled as after --contract: `--contract 1 "
+        "--delete 1` deletes the old element 2 (the old->new comment shows the labels)",
+    )
     p.add_argument("--contract", help="comma-separated elements")
     for kind in ("extension", "truncation", "relax"):
         p = with_out(csub.add_parser(kind))

@@ -255,13 +255,14 @@ def relabel_map(n: int, removed: Iterable[int]) -> dict[int, int]:
     return out
 
 
-def _squeeze(masks: Iterable[int], smask: int) -> set[int]:
-    """Drop the bits of smask from every mask, shifting the bits above each
-    dropped one down, highest first, so labels follow :func:`relabel_map`."""
-    masks = set(masks)
+def _squeeze(masks: Iterable[int], smask: int) -> list[int]:
+    """Drop the bits of smask from every mask, in order, shifting the bits
+    above each dropped one down, highest first, so labels follow
+    :func:`relabel_map`."""
+    masks = list(masks)
     while smask:
         low = (1 << (smask.bit_length() - 1)) - 1
-        masks = {(B & low) | ((B >> 1) & ~low) for B in masks}
+        masks = [(B & low) | ((B >> 1) & ~low) for B in masks]
         smask &= low
     return masks
 
@@ -285,10 +286,14 @@ def _ground_mask(M: Matroid, S: Iterable[int] | int) -> int:
 
 def _minor_masks(masks: Sequence[int], smask: int, pick) -> tuple[int, ...]:
     """The sorted masks B whose |B & smask| is the pick (min: deletion, max:
-    contraction) over all masks, with smask squeezed out: a minor's bases."""
+    contraction) over all masks, with smask squeezed out: a minor's bases.
+    ``masks`` must be sorted and distinct.  When the picked size is 0 or
+    |smask|, the kept masks agree on smask, so squeezing keeps them sorted
+    and distinct; only other sizes dedup and sort."""
     sizes = [popcount(B & smask) for B in masks]
     k = pick(sizes)
-    return tuple(sorted(_squeeze([B for B, size in zip(masks, sizes) if size == k], smask)))
+    kept = _squeeze([B for B, size in zip(masks, sizes) if size == k], smask)
+    return tuple(kept) if k in (0, popcount(smask)) else tuple(sorted(set(kept)))
 
 
 def _minor(M: Matroid, smask: int, pick) -> Matroid:
@@ -296,7 +301,7 @@ def _minor(M: Matroid, smask: int, pick) -> Matroid:
     return Matroid(M.n - popcount(smask), _minor_masks(M.basis_masks, smask, pick), validate=False)
 
 
-def delete(M: Matroid, S: Iterable[int]) -> Matroid:
+def delete(M: Matroid, S: Iterable[int] | int) -> Matroid:
     """Deletion M\\S: the bases meeting S least; new labels follow
     :func:`relabel_map`.  Not re-validated: the minor of an unvalidated
     non-matroid can itself be invalid."""
@@ -304,7 +309,7 @@ def delete(M: Matroid, S: Iterable[int]) -> Matroid:
     return _minor(M, smask, min) if smask else M
 
 
-def contract(M: Matroid, S: Iterable[int]) -> Matroid:
+def contract(M: Matroid, S: Iterable[int] | int) -> Matroid:
     """Contraction M/S: the bases meeting S most; new labels follow
     :func:`relabel_map`.  Not re-validated, as for :func:`delete`."""
     smask = _ground_mask(M, S)
@@ -522,9 +527,7 @@ def connected_components(M: Matroid) -> list[frozenset[int]]:
 
 def restriction(M: Matroid, S: Iterable[int]) -> Matroid:
     """M restricted to S (deletion of everything else)."""
-    smask = _ground_mask(M, S)
-    rest = set_of(((1 << M.n) - 1) & ~smask)
-    return delete(M, rest)
+    return delete(M, ((1 << M.n) - 1) & ~_ground_mask(M, S))
 
 
 # ---------------------------------------------------------------------------

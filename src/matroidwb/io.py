@@ -154,7 +154,8 @@ def verdict_to_json(
     pair = v.diagnostics.get("pair")
     if pair:
         out["pair"] = list(pair)
-    out.update({k: v.diagnostics[k] for k in ("contracted", "deleted_after") if k in v.diagnostics})
+    out.update({k: v.diagnostics[k] for k in ("contracted", "deleted_after", "reason")
+                if k in v.diagnostics})
     if v.certificate is not None:
         out["certificate_kind"] = v.certificate.kind
     if v.witness is not None:

@@ -1,4 +1,5 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
+the reason an Inconclusive gives,
 the pinned sparse-paving census, the balance check against a brute-force
 scan of every minor, the known-truth sets, the exact replay of every
 census Holds from the basis masks, the float search and its refinement,
@@ -28,6 +29,7 @@ from matroidwb.constructions import (
 )
 from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
+from matroidwb.io import verdict_to_json
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
 from matroidwb.sos import GramCertificate, sos_certificate
 from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG, SINGLE_PAIR_WAGNER, SOS_GRAM
@@ -120,6 +122,21 @@ class TestTiers:
         assert v.outcome == inner.outcome != "Holds"
         assert v.diagnostics["evals"] == inner.diagnostics["evals"] > 0
         assert v.diagnostics["best"] == inner.diagnostics["best"]
+        reason = None if v.fails else "gram_not_psd"
+        assert v.diagnostics.get("reason") == inner.diagnostics.get("reason") == reason
+
+    def test_inconclusive_says_the_gram_tier_found_no_certificate(self, sp73):
+        v = next(v for M, _ in sp73 if (v := analysis.rayleigh_verdict(
+            basis_poly(M), budget=500)).outcome == "Inconclusive")
+        assert v.diagnostics["tiers_run"] == ["coeff", "gram", "search"]
+        assert v.diagnostics["reason"] == "gram_not_psd"
+        assert verdict_to_json(v, "rayleigh", "m")["reason"] == "gram_not_psd"
+
+    def test_inconclusive_says_the_gram_tier_hit_the_variable_cap(self):
+        v = analysis.strong_rayleigh_verdict(basis_poly(uniform(2, 13)), (1, 2), budget=500)
+        assert v.outcome == "Inconclusive"
+        assert v.diagnostics["tiers_run"] == ["coeff", "search"]
+        assert v.diagnostics["reason"] == "gram_var_cap"
 
     def test_unverified_lifted_witness_raises(self, sp73, monkeypatch):
         M, seed = sp73[HPP_FAILS]
@@ -415,7 +432,7 @@ def test_every_census_holds_replays_from_the_basis_masks(sp73, name):
             assert cert.kind == SINGLE_PAIR_WAGNER
             for comp, (a, b), inner in cert.data:
                 out = mask_of(set(range(1, M.n + 1)) - set(comp))
-                masks = sorted(core._squeeze({B & ~out for B in M.basis_masks}, out))
+                masks = sorted(set(core._squeeze({B & ~out for B in M.basis_masks}, out)))
                 pair = (comp.index(a) + 1, comp.index(b) + 1)
                 assert replays(inner, len(comp), masks, pair, c, all_reals), (M, comp)
                 replayed[inner.kind] += 1

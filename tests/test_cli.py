@@ -6,7 +6,9 @@ common basis, a negative seed and a budget below one are refused, c must
 be a positive rational, `--out` gets the printed JSON
 for every check, and `poly --rayleigh` and `construct minor`, `extension`,
 `truncation` and `relax` refuse an element outside the ground set, and
-`construct 2sum` a basepoint outside it, a balance Fails names the
+`construct 2sum` a basepoint outside it, the commands that read a set
+refuse an element listed twice, `--delete` reads the labels left after
+`--contract`, a balance Fails names the
 minor its pair and witness live on, and the JSON of `check --pair` is
 pinned."""
 import json
@@ -19,7 +21,7 @@ import pytest
 from matroidwb.cli import main
 from matroidwb.constructions import principal_extension, uniform
 from matroidwb.core import from_bases
-from matroidwb.io import format_matroid
+from matroidwb.io import format_matroid, parse_matroid
 from matroidwb.poly import basis_poly
 
 PAIR_PROPS = ["negcorr", "rayleigh", "strong_rayleigh", "c_rayleigh"]
@@ -169,6 +171,31 @@ def test_set_with_an_element_outside_the_ground_set_is_an_error(tmp_path, kind, 
     assert main(["construct", kind, "--in", str(path), "--set", "1,9"]) == 4
     captured = capsys.readouterr()
     assert "element 9 is not in the ground set 1..3" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("kind,flag", [
+    ("minor", "--delete"), ("minor", "--contract"),
+    ("extension", "--set"), ("truncation", "--set"), ("relax", "--set"),
+])
+def test_an_element_listed_twice_is_an_error(u24, kind, flag, capsys):
+    assert main(["construct", kind, "--in", u24, flag, "1,1"]) == 4
+    captured = capsys.readouterr()
+    assert "error: element 1 listed twice" in captured.err and captured.out == ""
+
+
+def test_delete_reads_the_labels_left_after_contract(tmp_path, capsys):
+    """Elements 1 and 2 are coloops; after contracting 1, label 1 is the old
+    element 2, so the minor is M/1\\2 = U(1, 2), not a rank-2 minor."""
+    path = tmp_path / "m4.txt"
+    path.write_text(format_matroid(from_bases(4, [(1, 2, 3), (1, 2, 4)])))
+    assert main(["construct", "minor", "--in", str(path), "--contract", "1", "--delete", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "# contracted [1]; old->new {2: 1, 3: 2, 4: 3}\n" in out
+    assert parse_matroid(out) == uniform(1, 2)
+    with pytest.raises(SystemExit):
+        main(["construct", "minor", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "labelled as after --contract: `--contract 1 --delete 1` deletes the old element 2" in help_text
 
 
 def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):

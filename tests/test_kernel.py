@@ -1,7 +1,9 @@
 """The matroid kernel against the implementations it replaced: the parts
 that masks join against a union-find on random mask families, components
 from the fundamental graph against the circuit union-find and brute-force
-1-separations, bit-squeezed minors against relabel-map minors, minors
+1-separations, bit-squeezed minors against relabel-map minors (the mask
+kernel also on random families that are not matroids), the balance
+stream's minor counts pinned on the census-structure slice, minors
 built without re-validation against the same bases validated, the
 vectorised 2-separation scan against the scalar loop, and circuits, paving
 and sparse paving from the subset tables against the circuit loop."""
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matroidwb.analysis import _minors
+from matroidwb.analysis import _minors, is_balanced
 from matroidwb.classifiers import (
     bicircular_family,
     is_paving,
@@ -24,6 +26,7 @@ from matroidwb.classifiers import (
 from matroidwb.constructions import graphic, k4, named_atlas, uniform, whirl
 from matroidwb.core import (
     Matroid,
+    _minor_masks,
     circuits,
     connected_components,
     contract,
@@ -267,6 +270,43 @@ def test_minors_of_random_fixtures_equal_the_reference(data):
     N = delete(M, S)
     later = [relabel_map(M.n, S)[e] for e in T]
     assert contract(N, later) == relabel_contract(relabel_delete(M, S), later)
+
+
+@st.composite
+def mask_families(draw):
+    """A sorted, distinct family of equal-size masks on n <= 8 (a matroid's
+    bases or not), a mask S of removed elements and the pick."""
+    n = draw(st.integers(0, 8))
+    r = draw(st.integers(0, n))
+    sized = [mask_of(c) for c in combinations(range(1, n + 1), r)]
+    masks = sorted(draw(st.sets(st.sampled_from(sized), min_size=1)))
+    S = draw(st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1)))
+    return n, masks, S, draw(st.sampled_from([min, max]))
+
+
+@given(mask_families())
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example((3, [0b011, 0b101, 0b110], 0b001, max))  # kept masks agree on S
+@example((3, [0b011, 0b101, 0b110], 0b011, min))  # they disagree: 0b101 and 0b110 collide
+def test_minor_masks_match_the_reference(case):
+    n, masks, S, pick = case
+    k = pick(popcount(B & S) for B in masks)
+    mapping = relabel_map(n, elements(S))
+    reference = tuple(sorted({relabelled(B, mapping) for B in masks if popcount(B & S) == k}))
+    got = _minor_masks(masks, S, pick)
+    assert got == reference
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_balance_stream_of_the_structure_census_is_pinned():
+    """The minors is_balanced counts over the census-structure slice."""
+    for stream, total in (
+        ((M for _, M in bicircular_family(5)), 1305),
+        (sparse_paving_family(8, 4, limit=6), 335),
+    ):
+        vs = [is_balanced(M) for M in stream]
+        assert {v.outcome for v in vs} == {"Holds"}
+        assert sum(v.diagnostics["minors"] for v in vs) == total
 
 
 TRUSTED_MINOR_STREAMS = {

@@ -991,9 +991,9 @@ def circuit_gluing_two_sum(M, p, N, q):
             raise BasepointIsSeparator(f"basepoint {e} is a loop or coloop")
     pbit, qbit = 1 << (p - 1), 1 << (q - 1)
     cm, cn = circuits(M), circuits(N)
-    m_thru = _squeeze([c for c in cm if c & pbit], pbit)
+    m_thru = set(_squeeze([c for c in cm if c & pbit], pbit))
     n_thru = {d << (M.n - 1) for d in _squeeze([d for d in cn if d & qbit], qbit)}
-    circ = _squeeze([c for c in cm if not c & pbit], pbit)
+    circ = set(_squeeze([c for c in cm if not c & pbit], pbit))
     circ |= {d << (M.n - 1) for d in _squeeze([d for d in cn if not d & qbit], qbit)}
     circ |= {c | d for c in m_thru for d in n_thru}
     n_tot, r_tot = M.n + N.n - 2, M.r + N.r - 1
