@@ -106,17 +106,17 @@ def cmd_construct(args) -> int:
         )
     elif kind == "minor":
         M = _load_matroid(args.infile)
-        comments = []
-        if args.contract:
-            S = _element_set(args.contract)
-            mapping = relabel_map(M.n, S)
-            comments.append(f"contracted {sorted(S)}; old->new {mapping}")
-            M = contract(M, S)
-        if args.delete:
-            S = _element_set(args.delete)
-            mapping = relabel_map(M.n, S)
-            comments.append(f"deleted {sorted(S)}; old->new {mapping}")
-            M = delete(M, S)
+        left, done = list(range(1, M.n + 1)), []  # the input labels of M's elements
+        for word, op, given in (
+            ("contracted", contract, args.contract), ("deleted", delete, args.delete)
+        ):
+            if given:
+                S = _element_set(given)
+                M = op(M, S)
+                done.append(f"{word} {sorted(left[e - 1] for e in S)}")
+                left = [left[e - 1] for e in relabel_map(len(left), S)]
+        old_new = dict(zip(left, range(1, M.n + 1)))
+        comments = [f"{', '.join(done)}; old->new {old_new}"] if done else []
     elif kind == "extension":
         M = principal_extension(_load_matroid(args.infile), _element_set(args.set))
     elif kind == "truncation":
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delete",
         help="comma-separated elements, labelled as after --contract: `--contract 1 "
-        "--delete 1` deletes the old element 2 (the old->new comment shows the labels)",
+        "--delete 1` deletes the old element 2 (the comment names it in the input labels)",
     )
     p.add_argument("--contract", help="comma-separated elements")
     for kind in ("extension", "truncation", "relax"):

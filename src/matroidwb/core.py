@@ -287,9 +287,15 @@ def _ground_mask(M: Matroid, S: Iterable[int] | int) -> int:
 def _minor_masks(masks: Sequence[int], smask: int, pick) -> tuple[int, ...]:
     """The sorted masks B whose |B & smask| is the pick (min: deletion, max:
     contraction) over all masks, with smask squeezed out: a minor's bases.
-    ``masks`` must be sorted and distinct.  When the picked size is 0 or
-    |smask|, the kept masks agree on smask, so squeezing keeps them sorted
-    and distinct; only other sizes dedup and sort."""
+    ``masks`` must be sorted and distinct.  If some mask avoids smask (min)
+    or holds it (max), one filter finds the kept masks; otherwise sizes are
+    counted.  When the picked size is 0 or |smask|, the kept masks agree on
+    smask, so squeezing keeps them sorted and distinct; only other sizes
+    dedup and sort."""
+    extreme = pick(0, smask)  # B & smask of a mask at the extreme size
+    kept = [B for B in masks if B & smask == extreme]
+    if kept:
+        return tuple(_squeeze(kept, smask))
     sizes = [popcount(B & smask) for B in masks]
     k = pick(sizes)
     kept = _squeeze([B for B, size in zip(masks, sizes) if size == k], smask)

@@ -64,6 +64,9 @@ def parse_matroid(text: str) -> Matroid:
     bases = []
     for lineno, line in body:
         basis = _ints(lineno, line.split())
+        for i, e in enumerate(basis):
+            if e in basis[:i]:
+                raise ParseError(lineno, f"element {e} listed twice")
         if len(basis) != r:
             raise ParseError(lineno, f"basis has {len(basis)} elements, expected {r}")
         bases.append(basis)

@@ -190,12 +190,28 @@ def test_delete_reads_the_labels_left_after_contract(tmp_path, capsys):
     path.write_text(format_matroid(from_bases(4, [(1, 2, 3), (1, 2, 4)])))
     assert main(["construct", "minor", "--in", str(path), "--contract", "1", "--delete", "1"]) == 0
     out = capsys.readouterr().out
-    assert "# contracted [1]; old->new {2: 1, 3: 2, 4: 3}\n" in out
+    assert "# contracted [1], deleted [2]; old->new {3: 1, 4: 2}\n" in out
     assert parse_matroid(out) == uniform(1, 2)
     with pytest.raises(SystemExit):
         main(["construct", "minor", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "labelled as after --contract: `--contract 1 --delete 1` deletes the old element 2" in help_text
+
+
+@pytest.mark.parametrize("flags,comment", [
+    (["--contract", "1"], "contracted [1]; old->new {2: 1, 3: 2, 4: 3, 5: 4}"),
+    (["--delete", "4,2"], "deleted [2, 4]; old->new {1: 1, 3: 2, 5: 3}"),
+    (["--contract", "3", "--delete", "1,3"], "contracted [3], deleted [1, 4]; old->new {2: 1, 5: 2}"),
+    (["--delete", "1", "--contract", "5"], "contracted [5], deleted [1]; old->new {2: 1, 3: 2, 4: 3}"),
+], ids=["contract", "delete", "both", "delete-flag-first"])
+def test_minor_comment_maps_input_labels_to_output_labels(tmp_path, flags, comment, capsys):
+    """One comment names the removed elements and the composed map in the
+    labels of the input file, whatever the order of the flags."""
+    path = tmp_path / "m5.txt"
+    path.write_text(format_matroid(uniform(2, 5)))
+    assert main(["construct", "minor", "--in", str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("#")] == [f"# {comment}"]
 
 
 def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
-not an integer is a parse error that names its line, a polynomial is
-printed one term a line in the order of its factors, and a Fails witness
-is written as its value and its point."""
+not an integer and a basis that names an element twice are parse errors
+that name their line, a polynomial is printed one term a line in the order
+of its factors, and a Fails witness is written as its value and its point."""
 from fractions import Fraction
 
 import pytest
@@ -54,6 +54,17 @@ def test_rank_zero_file_goes_through_check(tmp_path, n):
     path = tmp_path / "loops.txt"
     path.write_text(format_matroid(uniform(0, n)))
     assert main(["check", str(path), "--prop", "positroid"]) == 0
+
+
+@pytest.mark.parametrize("text, lineno, e", [
+    ("matroid 3 2\n1 2\n3 3\n", 3, 3),
+    ("matroid 3 2\n1 1\n", 2, 1),
+    ("# a comment\nmatroid 4 3\n1 2 3\n2 4 2\n", 4, 2),
+], ids=["second-line", "only-line", "after-a-comment"])
+def test_a_basis_naming_an_element_twice_names_its_line(text, lineno, e):
+    with pytest.raises(ParseError, match=f"^line {lineno}: element {e} listed twice$") as info:
+        parse_matroid(text)
+    assert info.value.lineno == lineno
 
 
 @pytest.mark.parametrize(

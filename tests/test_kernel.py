@@ -2,11 +2,12 @@
 that masks join against a union-find on random mask families, components
 from the fundamental graph against the circuit union-find and brute-force
 1-separations, bit-squeezed minors against relabel-map minors (the mask
-kernel also on random families that are not matroids), the balance
-stream's minor counts pinned on the census-structure slice, minors
-built without re-validation against the same bases validated, the
-vectorised 2-separation scan against the scalar loop, and circuits, paving
-and sparse paving from the subset tables against the circuit loop."""
+kernel also on random families that are not matroids, with one example
+per kernel path), the balance stream's minor counts pinned on the
+census-structure slice, minors built without re-validation against the
+same bases validated, the vectorised 2-separation scan against the scalar
+loop, and circuits, paving and sparse paving from the subset tables
+against the circuit loop."""
 import random
 import time
 from itertools import combinations
@@ -288,6 +289,11 @@ def mask_families(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @example((3, [0b011, 0b101, 0b110], 0b001, max))  # kept masks agree on S
 @example((3, [0b011, 0b101, 0b110], 0b011, min))  # they disagree: 0b101 and 0b110 collide
+@example((3, [0b011, 0b101, 0b110], 0b001, min))  # a deletion that 0b110 avoids: the filter
+@example((4, [0b0011, 0b0101, 0b0110, 0b1001], 0b0011, max))  # a contraction 0b0011 holds: the filter
+@example((3, [0b011, 0b101], 0b001, min))  # every mask holds S: the count keeps the order
+@example((4, [0b0101, 0b0110, 0b1001, 0b1010], 0b0011, max))  # none holds S: dedup and sort
+@example((3, [0b011, 0b101, 0b110], 0, min))  # S = 0: the masks themselves
 def test_minor_masks_match_the_reference(case):
     n, masks, S, pick = case
     k = pick(popcount(B & S) for B in masks)
