@@ -32,6 +32,17 @@ def _ints(lineno: int, toks: list[str]) -> list[int]:
         raise ParseError(lineno, f"expected integers, got {' '.join(toks)!r}") from None
 
 
+def _members(lineno: int, line: str, n: int, what: str, distinct: bool = True) -> list[int]:
+    """The integers of a data line, in 1..n and, if distinct, none twice."""
+    items = _ints(lineno, line.split())
+    for i, e in enumerate(items):
+        if not 1 <= e <= n:
+            raise ParseError(lineno, f"{what} {e} outside 1..{n}")
+        if distinct and e in items[:i]:
+            raise ParseError(lineno, f"{what} {e} listed twice")
+    return items
+
+
 def _header(text: str, what: str, form: str, ints: bool = True):
     """(fields, lineno, body) of a file whose first data line is `form`, a
     keyword and two fields: the fields, as integers when `ints`, the line
@@ -61,14 +72,13 @@ def format_matroid(M: Matroid, comments: Optional[list[str]] = None) -> str:
 
 def parse_matroid(text: str) -> Matroid:
     (n, r), header_lineno, body = _header(text, "matroid", "matroid <n> <r>")
-    bases = []
+    bases, seen = [], {}
     for lineno, line in body:
-        basis = _ints(lineno, line.split())
-        for i, e in enumerate(basis):
-            if e in basis[:i]:
-                raise ParseError(lineno, f"element {e} listed twice")
+        basis = _members(lineno, line, n, "element")
         if len(basis) != r:
             raise ParseError(lineno, f"basis has {len(basis)} elements, expected {r}")
+        if (first := seen.setdefault(frozenset(basis), lineno)) != lineno:
+            raise ParseError(lineno, f"basis repeats line {first}")
         bases.append(basis)
     if r == 0 and not bases:
         # the single empty basis is written as a blank line, which is skipped
@@ -88,10 +98,10 @@ def parse_graph(text: str) -> MultiGraph:
         raise ParseError(lineno, f"expected {e} edge lines, found {len(body)}")
     edges = []
     for lineno, line in body:
-        toks = line.split()
-        if len(toks) != 2:
+        ends = _members(lineno, line, v, "edge end", distinct=False)
+        if len(ends) != 2:
             raise ParseError(lineno, f"bad edge line {line!r}")
-        edges.append(tuple(_ints(lineno, toks)))
+        edges.append(tuple(ends))
     return MultiGraph(v=v, edges=tuple(edges))
 
 
@@ -110,7 +120,7 @@ def parse_setsystem(text: str) -> SetSystem:
     (n, k), lineno, body = _header(text, "set system", "sys <n> <k>")
     if len(body) != k:
         raise ParseError(lineno, f"expected {k} set lines, found {len(body)}")
-    family = (frozenset(_ints(lineno, line.split())) for lineno, line in body)
+    family = (frozenset(_members(lineno, line, n, "member")) for lineno, line in body)
     return SetSystem(n=n, family=tuple(family))
 
 

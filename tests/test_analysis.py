@@ -2,8 +2,8 @@
 the reason an Inconclusive gives,
 the pinned sparse-paving census, the balance check against a brute-force
 scan of every minor, the known-truth sets, the exact replay of every
-census Holds from the basis masks, the float search and its refinement,
-and the nice principal-extension weights of the paper's example."""
+census Holds from the basis masks, the float search and the points it
+spends, and the nice principal-extension weights of the paper's example."""
 import os
 import random
 import subprocess
@@ -36,9 +36,8 @@ from matroidwb.verdicts import ALL_ONES_EXACT, COEFF_NONNEG, SINGLE_PAIR_WAGNER,
 
 BUDGET = 20_000
 
-# x^2 - 4x + 3, minimum -1 at x = 2, and its term arrays
+# x^2 - 4x + 3, minimum -1 at x = 2
 QUADRATIC_POLY = BoundedPoly(1, {(0, 1): 1, (1, 0): -4, (0, 0): 3})
-QUADRATIC = analysis._term_arrays(QUADRATIC_POLY, (1,))
 
 
 @pytest.fixture(scope="module")
@@ -475,35 +474,25 @@ class TestSearch:
         parts = [analysis._batch_eval(coeffs, exps, X[i:i + rows]) for i in range(0, len(X), rows)]
         assert np.array_equal(np.concatenate(parts), whole)
 
-    def test_refinement_finds_interior_minimum(self):
-        x, value, nfev = analysis._local_refine(*QUADRATIC, np.array([0.5]), True, maxfun=200)
-        assert x[0] == pytest.approx(2.0, abs=1e-4)
-        assert value == pytest.approx(-1.0, abs=1e-8)
-        assert nfev <= 200
-
-    @pytest.mark.parametrize("maxfun", [1, 2, 3, 5])
-    def test_refinement_respects_maxfun(self, maxfun):
-        _, _, unbounded = analysis._local_refine(*QUADRATIC, np.array([0.01]), True, maxfun=1000)
-        _, _, nfev = analysis._local_refine(*QUADRATIC, np.array([0.01]), True, maxfun=maxfun)
-        assert nfev <= maxfun < unbounded
-
-    def test_refinement_on_all_reals(self):
-        # (x1 - 1)^2 + (x2 + 2)^2 - 1 = x1^2 - 2 x1 + x2^2 + 4 x2 + 4
-        p = BoundedPoly(2, {(0, 1): 1, (1, 0): -2, (0, 2): 1, (2, 0): 4, (0, 0): 4})
-        arrays = analysis._term_arrays(p, (1, 2))
-        x, value, _ = analysis._local_refine(*arrays, np.array([3.0, 1.0]), False, maxfun=200)
-        assert x == pytest.approx([1.0, -2.0], abs=1e-4)
-        assert value == pytest.approx(-1.0, abs=1e-8)
-
     def test_search_witness_reverifies(self):
         p = QUADRATIC_POLY
         sr = analysis.counterexample_search(p, budget=4096, seed=0)
         assert sr.witness is not None
         assert p.evaluate(sr.witness.point) == sr.witness.value < 0
 
+    @pytest.mark.parametrize("budget, evals", [
+        (1, 1), (2047, 2047), (2050, 2048), (BUDGET, 14_336)])
+    def test_an_inconclusive_search_spends_whole_batches_within_its_budget(self, budget, evals):
+        # U(3, 6) is Rayleigh, so no point stops the search early: it draws
+        # batches of 2,048 until max(budget * 7 // 10, 2048), cut at budget
+        p = rayleigh_diff(basis_poly(uniform(3, 6)), 1, 2)
+        sr = analysis.counterexample_search(p, budget=budget, seed=0)
+        assert sr.witness is None
+        assert sr.evals == evals <= budget
+
 
 def test_verdicts_do_not_import_scipy(sp73):
-    """A check that reaches the local refinement leaves scipy unimported."""
+    """A check that reaches the float search leaves scipy unimported."""
     index = HPP_INCONCLUSIVE
     code = f"""
 import sys
@@ -511,8 +500,8 @@ import matroidwb
 from matroidwb import analysis, constructions
 from matroidwb.census import _instance_seed
 calls = []
-refine = analysis._local_refine
-analysis._local_refine = lambda *a, **k: calls.append(1) or refine(*a, **k)
+search = analysis.counterexample_search
+analysis.counterexample_search = lambda *a, **k: calls.append(1) or search(*a, **k)
 M = list(matroidwb.sparse_paving_family(7, 3))[{index}]
 v = matroidwb.hpp_verdict(M, budget={BUDGET}, seed=_instance_seed(0, {index}))
 assert v.outcome == "Inconclusive" and calls, (v, calls)

@@ -1,7 +1,8 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
-not an integer and a basis that names an element twice are parse errors
-that name their line, a polynomial is printed one term a line in the order
-of its factors, and a Fails witness is written as its value and its point."""
+not an integer, an element outside its range, a basis or set that names an
+element twice and a repeated basis are parse errors that name their line,
+a polynomial is printed one term a line in the order of its factors, and a
+Fails witness is written as its value and its point."""
 from fractions import Fraction
 
 import pytest
@@ -56,14 +57,26 @@ def test_rank_zero_file_goes_through_check(tmp_path, n):
     assert main(["check", str(path), "--prop", "positroid"]) == 0
 
 
-@pytest.mark.parametrize("text, lineno, e", [
-    ("matroid 3 2\n1 2\n3 3\n", 3, 3),
-    ("matroid 3 2\n1 1\n", 2, 1),
-    ("# a comment\nmatroid 4 3\n1 2 3\n2 4 2\n", 4, 2),
-], ids=["second-line", "only-line", "after-a-comment"])
-def test_a_basis_naming_an_element_twice_names_its_line(text, lineno, e):
-    with pytest.raises(ParseError, match=f"^line {lineno}: element {e} listed twice$") as info:
-        parse_matroid(text)
+@pytest.mark.parametrize("parse, text, lineno, message", [
+    (parse_matroid, "matroid 3 2\n1 2\n3 3\n", 3, "element 3 listed twice"),
+    (parse_matroid, "matroid 3 2\n1 1\n", 2, "element 1 listed twice"),
+    (parse_matroid, "# a comment\nmatroid 4 3\n1 2 3\n2 4 2\n", 4, "element 2 listed twice"),
+    (parse_matroid, "matroid 3 2\n1 4\n", 2, "element 4 outside 1..3"),
+    (parse_matroid, "matroid 3 2\n1 2\n0 1\n", 3, "element 0 outside 1..3"),
+    (parse_matroid, "matroid 3 2\n-1 2\n", 2, "element -1 outside 1..3"),
+    (parse_matroid, "matroid 3 2\n1 2\n2 1\n1 3\n", 3, "basis repeats line 2"),
+    (parse_graph, "graph 2 2\n1 1\n2 3\n", 3, "edge end 3 outside 1..2"),
+    (parse_graph, "graph 2 1\n0 1\n", 2, "edge end 0 outside 1..2"),
+    (parse_setsystem, "sys 3 2\n1 2\n3 4\n", 3, "member 4 outside 1..3"),
+    (parse_setsystem, "sys 3 1\n1 1 2\n", 2, "member 1 listed twice"),
+], ids=["second-line", "only-line", "after-a-comment", "outside", "zero", "negative",
+        "repeated-basis", "edge-end-outside", "edge-end-zero", "member-outside",
+        "member-twice"])
+def test_a_basis_naming_an_element_twice_names_its_line(parse, text, lineno, message):
+    """So does any data line naming an element outside its range, a set
+    naming a member twice and a basis line repeating an earlier one."""
+    with pytest.raises(ParseError, match=f"^line {lineno}: {message}$") as info:
+        parse(text)
     assert info.value.lineno == lineno
 
 

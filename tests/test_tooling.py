@@ -3,13 +3,14 @@ layer function and family generator exists, every workload check runs, one
 seed-0 pass of each workload keeps its outcome table, the tracer installs
 and restores its wrappers, and the public names that only the tracer's
 layer table reaches are pinned.  The benchmark modules are read from their
-files and left as they are.  Also four lints the repository
+files and left as they are.  Also five lints the repository
 has no tool for: no library or test module imports a name it never uses,
 every private function, class and method of the library is read somewhere in
 it outside its own body, every helper function and class of the tests is
 read somewhere in them outside its own body, and every public function,
 class, method and property of the library is read by the library (the CLI
-included, the package's re-exports not) or by the benchmark."""
+included, the package's re-exports not) or by the benchmark, and so is every
+UPPER_CASE constant of the library."""
 import ast
 import importlib.util
 import sys
@@ -164,7 +165,17 @@ def _definitions(tree: ast.Module, private: bool):
         for d in [node, *members]:
             if (isinstance(d, (ast.FunctionDef, ast.ClassDef))
                     and d.name.startswith("_") == private and not d.name.endswith("__")):
-                yield d
+                yield d.name, d
+
+
+def _constants(tree: ast.Module):
+    """The module-level UPPER_CASE constants of a module, each with the
+    assignment that binds it."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for t in targets:
+            if isinstance(t, ast.Name) and t.id.isupper():
+                yield t.id, node
 
 
 def _reads(node: ast.AST) -> Counter:
@@ -176,16 +187,16 @@ def _reads(node: ast.AST) -> Counter:
 
 
 def unread(sources: dict[str, str], definitions, outside: Counter = None) -> list[str]:
-    """`module:name` for every definition that `definitions(tree)` yields for
-    a module, read nowhere in the modules outside its own body and not
+    """`module:name` for every (name, node) that `definitions(tree)` yields
+    for a module, read nowhere in the modules outside the node and not
     counted in `outside`."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
     reads = sum((_reads(tree) for tree in trees.values()), Counter(outside))
     return sorted(
-        f"{module}:{d.name}"
+        f"{module}:{name}"
         for module, tree in trees.items()
-        for d in definitions(tree)
-        if reads[d.name] - _reads(d)[d.name] <= 0)
+        for name, d in definitions(tree)
+        if reads[name] - _reads(d)[name] <= 0)
 
 
 PRIVATE = partial(_definitions, private=True)
@@ -210,10 +221,10 @@ def _test_helpers(tree: ast.Module):
     tests, `Test*` classes or fixtures."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("Test"):
-            yield node
+            yield node.name, node
         if (isinstance(node, ast.FunctionDef) and not node.name.startswith("test")
                 and not any("fixture" in ast.unparse(d) for d in node.decorator_list)):
-            yield node
+            yield node.name, node
 
 
 def test_every_test_helper_is_read():
@@ -226,6 +237,14 @@ def test_every_test_helper_is_read():
         "class TestThing:\n    def test_it(self, data):\n        assert data\n")
     assert unread({"a.py": src}, _test_helpers) == ["a.py:Leftover", "a.py:reference"]
     assert unread({p.name: p.read_text() for p in TESTS.glob("*.py")}, _test_helpers) == []
+
+
+def test_every_library_constant_is_read_by_the_library_or_the_benchmark():
+    src = "TOL = 1e-9\nSTEPS: int = 3\nLEFT = 2 * TOL\ncount = STEPS\n"
+    assert unread({"a.py": src}, _constants) == ["a.py:LEFT"]
+    sources = {p.name: p.read_text() for p in LIBRARY.glob("*.py") if p.name != "__init__.py"}
+    benchmark = sum((_reads(ast.parse(p.read_text())) for p in BENCHMARK.glob("*.py")), Counter())
+    assert unread(sources, _constants, benchmark) == []
 
 
 # lpm_recursive_build builds every lattice path matroid from loops, coloops
