@@ -83,10 +83,10 @@ def cmd_construct(args) -> int:
     elif kind == "lpm":
         if args.infile:
             M = lattice_path(wio.parse_lpm(_read(args.infile)))
+        elif args.lower is None or args.upper is None:
+            raise ValueError("construct lpm needs --in or both --lower and --upper")
         else:
-            L = lattice_path_pair_from_endpoints(
-                _int_list(args.lower), _int_list(args.upper)
-            )
+            L = lattice_path_pair_from_endpoints(_int_list(args.lower), _int_list(args.upper))
             M = lattice_path(L)
     elif kind == "graphic":
         M = graphic(wio.parse_graph(_read(args.infile)))

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     MAX_ELEMENTS,
     Matroid,
     _ground_mask,
-    closure,
     dual,
     mask_components,
     mask_of,
+    subset_sizes,
 )
 from .errors import (
     DependentGeneratorSet,
@@ -58,6 +60,8 @@ class SetSystem:
     family: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not 0 <= self.n <= MAX_ELEMENTS:
+            raise ValueError(f"ground set size must be in 0..{MAX_ELEMENTS}, got {self.n}")
         if len(self.family) < 1:
             raise ValueError("set system needs at least one member")
         for A in self.family:
@@ -126,32 +130,6 @@ def lattice_path_pair_from_endpoints(
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching (used by transversal and bicircular matroids)
-
-
-def _matcher(adj: dict[int, Sequence[int]]) -> Callable[[int], bool]:
-    """A fresh augmenting-path matcher (Kuhn's algorithm): match(x) is True
-    when an augmenting path adds x to the matching grown so far.  Mapped over
-    items, the count of True is the size of a maximum matching, and all True
-    means every item matches."""
-    match_r: dict[int, int] = {}
-
-    def match(x: int, seen: Optional[set[int]] = None) -> bool:
-        if seen is None:
-            seen = set()
-        for y in adj[x]:
-            if y in seen:
-                continue
-            seen.add(y)
-            if y not in match_r or match(match_r[y], seen):
-                match_r[y] = x
-                return True
-        return False
-
-    return match
-
-
-# ---------------------------------------------------------------------------
 # the constructions
 
 
@@ -186,16 +164,20 @@ def bicircular(G: MultiGraph) -> Matroid:
 
 
 def transversal(S: SetSystem) -> Matroid:
-    """Transversal matroid: independent sets are the partial transversals."""
-    adj = {
-        e: [j for j, A in enumerate(S.family) if e in A] for e in range(1, S.n + 1)
-    }
-    rank = sum(map(_matcher(adj), range(1, S.n + 1)))
-    masks = []
-    for combo in combinations(range(1, S.n + 1), rank):
-        if all(map(_matcher(adj), combo)):
-            masks.append(mask_of(combo))
-    return Matroid(S.n, masks)
+    """Transversal matroid: the independent sets are the partial transversals,
+    the sets T with a matching into the members.  After members A_1..A_j,
+    matched[T] says that T matches into them: T matched into A_1..A_{j-1},
+    or T - e did for some e in A_j & T.  The bases are the largest matched T."""
+    matched = np.zeros(1 << S.n, dtype=bool)
+    matched[0] = True
+    for A in S.family:
+        before = matched.copy()
+        for e in A:
+            bit = 1 << (e - 1)
+            matched.reshape(-1, 2, bit)[:, 1, :] |= before.reshape(-1, 2, bit)[:, 0, :]
+    sizes = subset_sizes(S.n)
+    rank = sizes[matched].max()
+    return Matroid(S.n, np.flatnonzero(matched & (sizes == rank)).tolist())
 
 
 def lattice_path(L: LatticePathPair) -> Matroid:
@@ -270,8 +252,8 @@ def lpm_recursive_build(steps: Sequence[str | int]) -> Matroid:
                 raise DependentGeneratorSet(
                     f"step {i}: generators x_{h}..x_{i-1} are dependent"
                 )
-            F = closure(M, gens)
-            M = principal_extension(M, F)
+            # extending on the generators is extending on their closure
+            M = principal_extension(M, gens)
         else:
             raise ValueError(f"unknown step {step!r}")
     return M

@@ -193,16 +193,12 @@ class Matroid:
 
 def from_bases(n: int, bases: Iterable[Iterable[int]]) -> Matroid:
     """Build a validated matroid from explicit bases on ground set 1..n."""
-    if n < 0 or n > MAX_ELEMENTS:
-        raise ValueError(f"n must be in 0..{MAX_ELEMENTS}, got {n}")
     masks = []
     for b in bases:
         b = set(b)
         if any(e < 1 or e > n for e in b):
             raise ValueError(f"element outside 1..{n} in basis {sorted(b)}")
         masks.append(mask_of(b))
-    if not masks:
-        raise EmptyBases("a matroid needs at least one basis")
     return Matroid(n, masks)
 
 
@@ -213,14 +209,11 @@ def rank_of(M: Matroid, S: Iterable[int] | int) -> int:
 
 
 def closure(M: Matroid, S: Iterable[int] | int) -> frozenset[int]:
+    """The elements e with rank(S + e) == rank(S), S's own among them, read
+    off the rank table."""
     mask = _ground_mask(M, S)
-    r = rank_of(M, mask)
-    cl = mask
-    for e in range(1, M.n + 1):
-        bit = 1 << (e - 1)
-        if not (mask & bit) and rank_of(M, mask | bit) == r:
-            cl |= bit
-    return set_of(cl)
+    rank = M._rank_table()
+    return frozenset(e for e in range(1, M.n + 1) if rank[mask | 1 << (e - 1)] == rank[mask])
 
 
 def circuits(M: Matroid) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .core import Matroid, elements, from_bases
+from .core import MAX_ELEMENTS, Matroid, elements, from_bases
 from .constructions import LatticePathPair, MultiGraph, SetSystem
 from .poly import BoundedPoly
 from .verdicts import Verdict
@@ -72,6 +72,10 @@ def format_matroid(M: Matroid, comments: Optional[list[str]] = None) -> str:
 
 def parse_matroid(text: str) -> Matroid:
     (n, r), header_lineno, body = _header(text, "matroid", "matroid <n> <r>")
+    if not 0 <= r <= n <= MAX_ELEMENTS:
+        raise ParseError(header_lineno, f"header needs 0 <= r <= n <= {MAX_ELEMENTS}, got {n} {r}")
+    if r > 0 and not body:
+        raise ParseError(header_lineno, f"rank {r} needs basis lines, found none")
     bases, seen = [], {}
     for lineno, line in body:
         basis = _members(lineno, line, n, "element")
@@ -80,13 +84,8 @@ def parse_matroid(text: str) -> Matroid:
         if (first := seen.setdefault(frozenset(basis), lineno)) != lineno:
             raise ParseError(lineno, f"basis repeats line {first}")
         bases.append(basis)
-    if r == 0 and not bases:
-        # the single empty basis is written as a blank line, which is skipped
-        bases.append([])
-    M = from_bases(n, bases)
-    if M.r != r:
-        raise ParseError(header_lineno, f"rank mismatch: header says {r}")
-    return M
+    # rank 0: the single empty basis is written as a blank line, which is skipped
+    return from_bases(n, bases or [[]])
 
 
 # -- graph: `graph <v> <e>` then `u w` per edge ------------------------------
@@ -94,6 +93,8 @@ def parse_matroid(text: str) -> Matroid:
 
 def parse_graph(text: str) -> MultiGraph:
     (v, e), lineno, body = _header(text, "graph", "graph <v> <e>")
+    if v < 1 or e > MAX_ELEMENTS:
+        raise ParseError(lineno, f"header needs v >= 1 and e <= {MAX_ELEMENTS}, got {v} {e}")
     if len(body) != e:
         raise ParseError(lineno, f"expected {e} edge lines, found {len(body)}")
     edges = []
@@ -118,6 +119,8 @@ def parse_lpm(text: str) -> LatticePathPair:
 
 def parse_setsystem(text: str) -> SetSystem:
     (n, k), lineno, body = _header(text, "set system", "sys <n> <k>")
+    if not 0 <= n <= MAX_ELEMENTS or k < 1:
+        raise ParseError(lineno, f"header needs 0 <= n <= {MAX_ELEMENTS} and k >= 1, got {n} {k}")
     if len(body) != k:
         raise ParseError(lineno, f"expected {k} set lines, found {len(body)}")
     family = (frozenset(_members(lineno, line, n, "member")) for lineno, line in body)

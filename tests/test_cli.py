@@ -8,9 +8,11 @@ for every check, and `poly --rayleigh` and `construct minor`, `extension`,
 `truncation` and `relax` refuse an element outside the ground set, and
 `construct 2sum` a basepoint outside it, the commands that read a set
 refuse an element listed twice, `--delete` reads the labels left after
-`--contract`, a balance Fails names the
-minor its pair and witness live on, and the JSON of `check --pair` is
-pinned."""
+`--contract`, `construct lpm` without `--in` needs both endpoint lists,
+every `construct` kind given no arguments is refused without a traceback,
+a balance Fails names the minor its pair and witness live on, and the
+JSON of `check --pair` is pinned."""
+import argparse
 import json
 from functools import reduce
 from itertools import combinations
@@ -18,7 +20,7 @@ from operator import xor
 
 import pytest
 
-from matroidwb.cli import main
+from matroidwb.cli import build_parser, main
 from matroidwb.constructions import principal_extension, uniform
 from matroidwb.core import from_bases
 from matroidwb.io import format_matroid, parse_matroid
@@ -221,6 +223,31 @@ def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):
     assert main(args) == 4
     captured = capsys.readouterr()
     assert "element 0 is not in the ground set 1..3" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["--lower", "1,2"], ["--upper", "2,3"]])
+def test_lpm_without_a_file_needs_both_endpoint_lists(flags, capsys):
+    assert main(["construct", "lpm", *flags]) == 4
+    assert "needs --in or both --lower and --upper" in capsys.readouterr().err
+
+
+def _subcommands(parser):
+    """The subparsers of a parser's one subcommand argument, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_construct_kind_without_arguments_is_refused():
+    """argparse's usage error (exit 2) or the `error:` line (exit 4), never
+    another exception."""
+    kinds = _subcommands(_subcommands(build_parser())["construct"])
+    assert "lpm" in kinds and "transversal" in kinds
+    for kind in kinds:
+        try:
+            code = main(["construct", kind])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (2, 4), kind
 
 
 # binary S8: a 4-set of these GF(2) columns is a basis when no nonempty subset sums to 0

@@ -111,6 +111,12 @@ class TestTransversal:
         )
         assert bases_as_strings(transversal(S)) == PAPER_BASES
 
+    @pytest.mark.parametrize("n", [17, -1])
+    def test_a_ground_set_outside_0_to_16_is_refused(self, n):
+        """Before any subset table of 2^n entries is built."""
+        with pytest.raises(ValueError, match=rf"ground set size must be in 0\.\.16, got {n}"):
+            SetSystem(n=n, family=(frozenset(),))
+
 
 class TestLatticePath:
     def test_paper_example(self):

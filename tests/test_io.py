@@ -1,6 +1,7 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
 not an integer, an element outside its range, a basis or set that names an
-element twice and a repeated basis are parse errors that name their line,
+element twice, a repeated basis, a header field out of range and a positive
+rank with no basis line are parse errors that name their line,
 a polynomial is printed one term a line in the order of its factors, and a
 Fails witness is written as its value and its point."""
 from fractions import Fraction
@@ -9,7 +10,6 @@ import pytest
 
 from matroidwb.constructions import named_atlas, uniform
 from matroidwb.core import from_bases
-from matroidwb.errors import EmptyBases
 from matroidwb.io import (
     ParseError,
     format_matroid,
@@ -38,11 +38,6 @@ def test_empty_ground_set():
     assert (M.n, M.r, M.basis_masks) == (0, 0, (0,))
 
 
-def test_positive_rank_needs_basis_lines():
-    with pytest.raises(EmptyBases):
-        parse_matroid("matroid 3 1\n")
-
-
 def test_rank_zero_rejects_a_non_empty_basis():
     with pytest.raises(ParseError):
         parse_matroid("matroid 3 0\n1\n")
@@ -69,12 +64,28 @@ def test_rank_zero_file_goes_through_check(tmp_path, n):
     (parse_graph, "graph 2 1\n0 1\n", 2, "edge end 0 outside 1..2"),
     (parse_setsystem, "sys 3 2\n1 2\n3 4\n", 3, "member 4 outside 1..3"),
     (parse_setsystem, "sys 3 1\n1 1 2\n", 2, "member 1 listed twice"),
+    (parse_matroid, "matroid 20 1\n1\n", 1, "header needs 0 <= r <= n <= 16, got 20 1"),
+    (parse_matroid, "matroid -1 0\n", 1, "header needs 0 <= r <= n <= 16, got -1 0"),
+    (parse_matroid, "matroid 3 4\n1 2 3 4\n", 1, "header needs 0 <= r <= n <= 16, got 3 4"),
+    (parse_matroid, "matroid 3 -1\n", 1, "header needs 0 <= r <= n <= 16, got 3 -1"),
+    (parse_matroid, "matroid 3 1\n", 1, "rank 1 needs basis lines, found none"),
+    (parse_matroid, "# rank 2\nmatroid 3 2\n\n", 2, "rank 2 needs basis lines, found none"),
+    (parse_graph, "graph 0 0\n", 1, "header needs v >= 1 and e <= 16, got 0 0"),
+    (parse_graph, "graph 2 17\n" + "1 2\n" * 17, 1, "header needs v >= 1 and e <= 16, got 2 17"),
+    (parse_setsystem, "sys 17 1\n1\n", 1, "header needs 0 <= n <= 16 and k >= 1, got 17 1"),
+    (parse_setsystem, "sys -1 1\n1\n", 1, "header needs 0 <= n <= 16 and k >= 1, got -1 1"),
+    (parse_setsystem, "sys 3 0\n", 1, "header needs 0 <= n <= 16 and k >= 1, got 3 0"),
 ], ids=["second-line", "only-line", "after-a-comment", "outside", "zero", "negative",
         "repeated-basis", "edge-end-outside", "edge-end-zero", "member-outside",
-        "member-twice"])
+        "member-twice", "matroid-n-above-16", "matroid-n-negative", "matroid-r-above-n",
+        "matroid-r-negative", "positive-rank-no-basis-line", "no-basis-after-a-comment",
+        "graph-no-vertex", "graph-e-above-16", "sys-n-above-16", "sys-n-negative",
+        "sys-no-member"])
 def test_a_basis_naming_an_element_twice_names_its_line(parse, text, lineno, message):
     """So does any data line naming an element outside its range, a set
-    naming a member twice and a basis line repeating an earlier one."""
+    naming a member twice and a basis line repeating an earlier one; a
+    header field out of range, and a positive rank with no basis line, name
+    the header's line."""
     with pytest.raises(ParseError, match=f"^line {lineno}: {message}$") as info:
         parse(text)
     assert info.value.lineno == lineno

@@ -6,8 +6,9 @@ kernel also on random families that are not matroids, with one example
 per kernel path), the balance stream's minor counts pinned on the
 census-structure slice, minors built without re-validation against the
 same bases validated, the vectorised 2-separation scan against the scalar
-loop, and circuits, paving and sparse paving from the subset tables
-against the circuit loop."""
+loop, circuits, paving and sparse paving from the subset tables
+against the circuit loop, and closure from the rank table against a scan
+of the bases."""
 import random
 import time
 from itertools import combinations
@@ -29,6 +30,7 @@ from matroidwb.core import (
     Matroid,
     _minor_masks,
     circuits,
+    closure,
     connected_components,
     contract,
     delete,
@@ -96,6 +98,13 @@ def loop_is_paving(M):
 
 def loop_is_sparse_paving(M):
     return loop_is_paving(M) and loop_is_paving(dual(M))
+
+
+def scan_closure(M, mask):
+    """The elements e with rank_of(S + e) == rank_of(S), each rank a scan of
+    the bases."""
+    r = rank_of(M, mask)
+    return frozenset(e for e in range(1, M.n + 1) if rank_of(M, mask | 1 << (e - 1)) == r)
 
 
 def has_no_1_separation(M):
@@ -394,6 +403,15 @@ def test_circuits_and_paving_match_the_circuit_loop(families, name):
         assert circuits(M) == loop_circuits(M)
         assert is_paving(M) == loop_is_paving(M)
         assert is_sparse_paving(M) == loop_is_sparse_paving(M)
+
+
+@pytest.mark.parametrize("stream", [
+    lambda: (M for _, M in lpm_family(5)), lambda: sparse_paving_family(7, 3), lambda: ATLAS,
+], ids=["lpm5", "sp7-3", "atlas"])
+def test_closure_matches_the_rank_scan_on_every_subset(stream):
+    for M in stream():
+        for mask in range(1 << M.n):
+            assert closure(M, mask) == scan_closure(M, mask), (M, mask)
 
 
 @pytest.mark.parametrize("n,r,limit", [(6, 3, 1000), (7, 3, 1000), (8, 4, 6)])

@@ -4,11 +4,11 @@ search of the sparse-paving enumeration, graphic matroids from the parts
 of the vertex set their edges join against a forest union-find (graphs
 with loops only and with isolated vertices included), bicircular
 matroids from the vertices' incidence sets against a count of edges and
-vertices per component, the
-transversal rank and basis test from one augmenting-path routine against
-two matchers, the c-Rayleigh difference of the one pass against the
-expanded formula and against c times the Rayleigh difference plus
-(c - 1) f_ij f, all-pairs negative correlation from one count of pair
+vertices per component, transversal matroids from one subset-table pass
+against two augmenting-path matchers (every bicircular_family(6) graph
+included), the c-Rayleigh difference of the one pass against the expanded
+formula and against c times the Rayleigh difference plus (c - 1) f_ij f,
+all-pairs negative correlation from one count of pair
 degrees against a neg_corr call per pair, the one-pass Rayleigh difference
 against term-dict arithmetic over the pair decomposition, the search's term
 arrays from the term-key masks against the loop over the terms, the integer
@@ -489,19 +489,37 @@ def test_bicircular_matches_reference(named_graphs):
 
 
 # ---------------------------------------------------------------------------
-# bipartite matching
+# transversal matroids against augmenting paths
 
 
 def test_transversal_matches_two_matchers():
+    """Empty members and repeated members included."""
     rng = random.Random(47)
     for _ in range(300):
-        n = rng.randint(1, 7)
-        family = tuple(
-            frozenset(e for e in range(1, n + 1) if rng.random() < 0.4)
-            for _ in range(rng.randint(1, 5))
-        )
-        S = SetSystem(n=n, family=family)
+        n = rng.randint(0, 10)
+        density = rng.choice([0.0, 0.2, 0.4, 0.7])
+        family = [
+            frozenset(e for e in range(1, n + 1) if rng.random() < density)
+            for _ in range(rng.randint(1, 8))
+        ]
+        for i in range(1, len(family)):
+            if rng.random() < 0.2:
+                family[i] = rng.choice(family[:i])
+        S = SetSystem(n=n, family=tuple(family))
         assert transversal(S) == reference_transversal(S)
+
+
+def test_bicircular_matches_the_matchers_on_every_bc6_graph():
+    """bicircular_family(6)'s matroids against the matchers on each graph's
+    vertex incidence sets."""
+    count = 0
+    for G, M in bicircular_family(6):
+        S = SetSystem(G.e, tuple(
+            frozenset(i for i, edge in enumerate(G.edges, 1) if v in edge)
+            for v in range(1, G.v + 1)))
+        assert M == reference_transversal(S), G
+        count += 1
+    assert count == 623
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +982,7 @@ def test_every_gram_call_of_the_rayleigh_checks_decides_like_the_fraction_oracle
 
 def transversal_route_lattice_path(L):
     """The lattice path matroid as the transversal matroid of its row
-    intervals, one matching per r-subset."""
+    intervals."""
     if L.r == 0:
         return Matroid(L.size, [0])
     family = tuple(frozenset(range(l, u + 1)) for l, u in L.intervals())
