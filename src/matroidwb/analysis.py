@@ -185,7 +185,9 @@ def neg_corr_all_pairs(M: Matroid) -> Verdict:
 
 def _minors(M: Matroid):
     """Each distinct minor with >= 2 elements once, as (n, sorted basis masks, I, D):
-    M/I, I independent, then deleted by D in M/I's labels; I, D by size, then lex."""
+    M/I, I independent, then deleted by D in M/I's labels; I, D by size, then lex.
+    Each M/I\\D is built from its parent M/I\\(D - max D), kept one size of D at
+    a time, by deleting max D, whose label there is max D - (|D| - 1)."""
     seen = set()
     indep = M._indep_table()
     for kc in range(0, M.r + 1):
@@ -193,10 +195,14 @@ def _minors(M: Matroid):
             imask = mask_of(I)
             if not indep[imask]:
                 continue
-            n1, masks1 = M.n - kc, _minor_masks(M.basis_masks, imask, max)
+            n1 = M.n - kc
+            layer = {(): _minor_masks(M.basis_masks, imask, max)}
             for kd in range(0, n1 - 1):
+                parents, layer = layer, {}
                 for D in combinations(range(1, n1 + 1), kd):
-                    minor = (n1 - kd, _minor_masks(masks1, mask_of(D), min) if D else masks1)
+                    parent = parents[D[:-1]]
+                    masks = layer[D] = _minor_masks(parent, 1 << (D[-1] - kd), min) if D else parent
+                    minor = (n1 - kd, masks)
                     if minor not in seen:
                         seen.add(minor)
                         yield (*minor, I, D)
@@ -205,7 +211,10 @@ def _minors(M: Matroid):
 def is_balanced(M: Matroid) -> Verdict:
     """Negative correlation for M and each distinct minor, counted on its basis
     masks (isomorphic minors are not merged: the count is cheaper than the
-    search); a Holds records in ``minors`` how many minors it checked."""
+    search); a Holds records in ``minors`` how many minors it checked.  The
+    minors come from :func:`_minors`, which deletes one element from a parent
+    minor for each D, so every verdict and Fails report is the one of
+    deleting all of D from M/I."""
     if M.n > 10:
         raise SizeCapExceeded("balance check capped at n = 10")
     minors = 0

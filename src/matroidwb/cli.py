@@ -352,9 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", help="comma-separated l_1<..<l_r")
     p.add_argument("--upper", help="comma-separated u_1<..<u_r")
     p.add_argument("--in", dest="infile", help="file with `lpm <P> <Q>`")
-    for kind in ("graphic", "bicircular", "transversal", "dual"):
+    for kind in ("graphic", "bicircular", "dual"):
         p = with_out(csub.add_parser(kind))
         p.add_argument("--in", dest="infile", required=True)
+    p = with_out(csub.add_parser("transversal"))
+    p.add_argument(
+        "--in", dest="infile", required=True,
+        help="file with `sys <n> <k>`, then one member per line; a line holding only `-` "
+        "is the empty member",
+    )
     p = with_out(csub.add_parser("whirl"))
     p.add_argument("r", type=int)
     p = with_out(csub.add_parser("atlas"))

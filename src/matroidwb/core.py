@@ -284,7 +284,9 @@ def _minor_masks(masks: Sequence[int], smask: int, pick) -> tuple[int, ...]:
     or holds it (max), one filter finds the kept masks; otherwise sizes are
     counted.  When the picked size is 0 or |smask|, the kept masks agree on
     smask, so squeezing keeps them sorted and distinct; only other sizes
-    dedup and sort."""
+    dedup and sort.  Deletions compose only on a matroid's bases, where
+    M\\S = (M\\(S - s))\\s: on {{1}, {2, 3}}, deleting {1} and then {2}
+    keeps only {2, 3}, but deleting {1, 2} at once keeps both sets."""
     extreme = pick(0, smask)  # B & smask of a mask at the extreme size
     kept = [B for B in masks if B & smask == extreme]
     if kept:

@@ -114,7 +114,15 @@ def parse_lpm(text: str) -> LatticePathPair:
     return LatticePathPair(p, q)
 
 
-# -- set system: `sys <n> <k>` then one set per line -------------------------
+# -- set system: `sys <n> <k>` then one set per line, `-` for the empty set ---
+
+
+def _member_set(lineno: int, line: str, n: int) -> frozenset[int]:
+    if line == "-":
+        return frozenset()
+    if "-" in line.split():
+        raise ParseError(lineno, "`-` (the empty set) must stand alone on its line")
+    return frozenset(_members(lineno, line, n, "member"))
 
 
 def parse_setsystem(text: str) -> SetSystem:
@@ -123,8 +131,7 @@ def parse_setsystem(text: str) -> SetSystem:
         raise ParseError(lineno, f"header needs 0 <= n <= {MAX_ELEMENTS} and k >= 1, got {n} {k}")
     if len(body) != k:
         raise ParseError(lineno, f"expected {k} set lines, found {len(body)}")
-    family = (frozenset(_members(lineno, line, n, "member")) for lineno, line in body)
-    return SetSystem(n=n, family=tuple(family))
+    return SetSystem(n=n, family=tuple(_member_set(lineno, line, n) for lineno, line in body))
 
 
 # -- polynomial dump ----------------------------------------------------------

@@ -1,8 +1,10 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
 the reason an Inconclusive gives,
 the pinned sparse-paving census, the balance check against a brute-force
-scan of every minor, the known-truth sets, the exact replay of every
-census Holds from the basis masks, the float search and the points it
+scan of every minor (its minor stream also on random transversal matroids
+and their duals, each deletion one element off its parent), the
+known-truth sets, the exact replay of every census Holds from the basis
+masks, the float search and the points it
 spends, and the nice principal-extension weights of the paper's example."""
 import os
 import random
@@ -15,19 +17,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import matroidwb
 from matroidwb import analysis, census, constructions, core
 from matroidwb.census import _instance_seed
 from matroidwb.classifiers import bicircular_family, lpm_family, sparse_paving_family
 from matroidwb.constructions import (
+    SetSystem,
     lattice_path,
     lattice_path_pair_from_endpoints,
     named_atlas,
     principal_extension,
+    transversal,
     uniform,
 )
-from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of
+from matroidwb.core import Matroid, contract, delete, direct_sum, dual, mask_of, popcount
 from matroidwb.errors import SizeCapExceeded, WitnessNotVerified
 from matroidwb.io import verdict_to_json
 from matroidwb.poly import BoundedPoly, basis_poly, rayleigh_diff
@@ -228,6 +234,27 @@ def reference_minor_walk(M):
                     yield delete(M1, D), I, D
 
 
+def first_seen_minors(M):
+    """The stream _minors must give: each distinct minor of the reference
+    walk, with the (I, D) that reaches it first."""
+    first = {}
+    for N, I, D in reference_minor_walk(M):
+        first.setdefault((N.n, N.basis_masks), (I, D))
+    return [(*key, I, D) for key, (I, D) in first.items()]
+
+
+@st.composite
+def transversal_matroids(draw):
+    """A transversal matroid on n <= 7 of a family that may repeat members
+    or hold empty ones, or its dual, so that parent minors have loops and
+    coloops to delete."""
+    n = draw(st.integers(0, 7))
+    members = st.frozensets(st.integers(1, n), max_size=n) if n else st.just(frozenset())
+    family = draw(st.lists(members, min_size=1, max_size=n + 1))
+    M = transversal(SetSystem(n, tuple(family)))
+    return dual(M) if draw(st.booleans()) else M
+
+
 def reference_balance(M):
     """Every minor of the walk, with no class dedup, checked with
     neg_corr_all_pairs up to the first Fails.  The checks are memoised on
@@ -312,12 +339,35 @@ class TestBalance:
         matroids = list(BALANCE_SETS["sp8-4"]()) + list(islice(BALANCE_SETS["bc5"](), 60))
         total = 0
         for M in matroids + list(BALANCE_SETS["atlas"]()):
-            first = {}
-            for N, I, D in reference_minor_walk(M):
-                first.setdefault((N.n, N.basis_masks), (I, D))
-            assert list(analysis._minors(M)) == [(*key, I, D) for key, (I, D) in first.items()]
-            total += len(first)
+            expected = first_seen_minors(M)
+            assert list(analysis._minors(M)) == expected
+            total += len(expected)
         assert total > 2_000
+
+    @given(transversal_matroids())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @example(transversal(SetSystem(5, (frozenset(), frozenset({1, 2}), frozenset({1, 2}), frozenset({4})))))
+    @example(dual(transversal(SetSystem(6, (frozenset({1, 2, 3}), frozenset({3}), frozenset({3}))))))
+    def test_minors_of_random_transversal_matroids_are_the_first_seen_minors(self, M):
+        assert list(analysis._minors(M)) == first_seen_minors(M)
+
+    def test_each_deletion_removes_one_element_from_its_parent(self, monkeypatch):
+        """Every deletion the walk makes squeezes out one bit; only the
+        contraction by I, once per independent I, removes more."""
+        M = dual(principal_extension(S8, [1, 2]))
+        expected = list(analysis._minors(M))
+        removed = Counter()
+
+        def spy(masks, smask, pick):
+            removed[pick.__name__, popcount(smask)] += 1
+            return core._minor_masks(masks, smask, pick)
+
+        monkeypatch.setattr(analysis, "_minor_masks", spy)
+        assert list(analysis._minors(M)) == expected
+        assert {size for pick, size in removed if pick == "min"} == {1}
+        independent = sum(M.is_independent(I) for k in range(M.r + 1)
+                          for I in combinations(range(1, M.n + 1), k))
+        assert sum(c for (pick, _), c in removed.items() if pick == "max") == independent
 
     def test_a_balanced_holds_builds_no_matroid(self, monkeypatch):
         """On a census class, every distinct minor is checked on its masks:

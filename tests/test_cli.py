@@ -216,6 +216,17 @@ def test_minor_comment_maps_input_labels_to_output_labels(tmp_path, flags, comme
     assert [line for line in out.splitlines() if line.startswith("#")] == [f"# {comment}"]
 
 
+def test_transversal_reads_an_empty_member(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("sys 3 2\n-\n1 3\n")
+    assert main(["construct", "transversal", "--in", str(path)]) == 0
+    assert parse_matroid(capsys.readouterr().out) == from_bases(3, [(1,), (3,)])
+    with pytest.raises(SystemExit):
+        main(["construct", "transversal", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "a line holding only `-` is the empty member" in help_text
+
+
 def test_two_sum_basepoint_outside_the_ground_set_is_an_error(tmp_path, capsys):
     path = tmp_path / "m3.txt"
     path.write_text(format_matroid(uniform(2, 3)))

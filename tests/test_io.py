@@ -1,14 +1,15 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
 not an integer, an element outside its range, a basis or set that names an
 element twice, a repeated basis, a header field out of range and a positive
-rank with no basis line are parse errors that name their line,
+rank with no basis line are parse errors that name their line, a set
+line `-` is the empty member and `-` beside elements is refused by its line,
 a polynomial is printed one term a line in the order of its factors, and a
 Fails witness is written as its value and its point."""
 from fractions import Fraction
 
 import pytest
 
-from matroidwb.constructions import named_atlas, uniform
+from matroidwb.constructions import SetSystem, named_atlas, transversal, uniform
 from matroidwb.core import from_bases
 from matroidwb.io import (
     ParseError,
@@ -75,12 +76,14 @@ def test_rank_zero_file_goes_through_check(tmp_path, n):
     (parse_setsystem, "sys 17 1\n1\n", 1, "header needs 0 <= n <= 16 and k >= 1, got 17 1"),
     (parse_setsystem, "sys -1 1\n1\n", 1, "header needs 0 <= n <= 16 and k >= 1, got -1 1"),
     (parse_setsystem, "sys 3 0\n", 1, "header needs 0 <= n <= 16 and k >= 1, got 3 0"),
+    (parse_setsystem, "sys 3 2\n-\n1 -\n", 3, "`-` \\(the empty set\\) must stand alone on its line"),
+    (parse_setsystem, "sys 3 1\n- 2\n", 2, "`-` \\(the empty set\\) must stand alone on its line"),
 ], ids=["second-line", "only-line", "after-a-comment", "outside", "zero", "negative",
         "repeated-basis", "edge-end-outside", "edge-end-zero", "member-outside",
         "member-twice", "matroid-n-above-16", "matroid-n-negative", "matroid-r-above-n",
         "matroid-r-negative", "positive-rank-no-basis-line", "no-basis-after-a-comment",
         "graph-no-vertex", "graph-e-above-16", "sys-n-above-16", "sys-n-negative",
-        "sys-no-member"])
+        "sys-no-member", "sys-empty-mark-after-a-member", "sys-empty-mark-before-a-member"])
 def test_a_basis_naming_an_element_twice_names_its_line(parse, text, lineno, message):
     """So does any data line naming an element outside its range, a set
     naming a member twice and a basis line repeating an earlier one; a
@@ -115,6 +118,15 @@ def test_construct_reports_the_bad_edge_line(tmp_path, capsys):
     path.write_text("graph 2 2\n1 2\n1 two\n")
     assert main(["construct", "graphic", "--in", str(path)]) == 4
     assert "line 3: expected integers, got '1 two'" in capsys.readouterr().err
+
+
+def test_a_dash_line_is_the_empty_member():
+    """Empty members, repeated ones too, keep their place in the family; the
+    transversal matroid matches no element to them."""
+    S = parse_setsystem("sys 3 4\n-\n1 2\n  -  # empty again\n2\n")
+    assert S == SetSystem(3, (frozenset(), frozenset({1, 2}), frozenset(), frozenset({2})))
+    assert transversal(S) == from_bases(3, [(1, 2)])
+    assert parse_setsystem("sys 0 1\n-\n") == SetSystem(0, (frozenset(),))
 
 
 def test_poly_terms_are_ordered_by_their_factors_a_square_first():
