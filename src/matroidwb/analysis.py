@@ -26,6 +26,7 @@ from .core import (
     Matroid,
     _minor_masks,
     _pair_degrees,
+    _squeeze,
     connected_components,
     mask_of,
     restriction,
@@ -185,9 +186,15 @@ def neg_corr_all_pairs(M: Matroid) -> Verdict:
 
 def _minors(M: Matroid):
     """Each distinct minor with >= 2 elements once, as (n, sorted basis masks, I, D):
-    M/I, I independent, then deleted by D in M/I's labels; I, D by size, then lex.
-    Each M/I\\D is built from its parent M/I\\(D - max D), kept one size of D at
-    a time, by deleting max D, whose label there is max D - (|D| - 1)."""
+    M/I, I independent, then deleted by D in M/I's labels, D coindependent in
+    M/I; I, D by size, then lex.  Every minor is such an M/I\\D (Oxley,
+    Matroid Theory, Lemma 3.3.2), so the set of minors is that of all D.
+    Each M/I\\D is built from its parent M/I\\(D - max D), kept one size of
+    D at a time, as the parent's bases avoiding max D (label max D - (|D| - 1)
+    there) with that bit squeezed out.  The filter is the coindependence
+    test: it keeps no basis exactly when max D is a coloop of a kept parent,
+    and then D and every superset of it are skipped.  Extending each kept
+    parent, in order, by each last > max D walks the kept D in lex order."""
     seen = set()
     indep = M._indep_table()
     for kc in range(0, M.r + 1):
@@ -196,12 +203,17 @@ def _minors(M: Matroid):
             if not indep[imask]:
                 continue
             n1 = M.n - kc
-            layer = {(): _minor_masks(M.basis_masks, imask, max)}
+            layer = [((), _minor_masks(M.basis_masks, imask, max))]
             for kd in range(0, n1 - 1):
-                parents, layer = layer, {}
-                for D in combinations(range(1, n1 + 1), kd):
-                    parent = parents[D[:-1]]
-                    masks = layer[D] = _minor_masks(parent, 1 << (D[-1] - kd), min) if D else parent
+                if kd:
+                    parents, layer = layer, []
+                    for D0, parent in parents:
+                        for last in range(D0[-1] + 1 if D0 else 1, n1 + 1):
+                            bit = 1 << (last - kd)
+                            kept = [B for B in parent if not B & bit]
+                            if kept:
+                                layer.append((D0 + (last,), tuple(_squeeze(kept, bit))))
+                for D, masks in layer:
                     minor = (n1 - kd, masks)
                     if minor not in seen:
                         seen.add(minor)
@@ -213,8 +225,12 @@ def is_balanced(M: Matroid) -> Verdict:
     masks (isomorphic minors are not merged: the count is cheaper than the
     search); a Holds records in ``minors`` how many minors it checked.  The
     minors come from :func:`_minors`, which deletes one element from a parent
-    minor for each D, so every verdict and Fails report is the one of
-    deleting all of D from M/I."""
+    minor for each D and walks only the D coindependent in M/I.  The Fails
+    report (``contracted``, ``deleted_after``, pair, witness) is still the
+    first failing (I, D) of the walk over all D: if D is not coindependent,
+    some e in D is a coloop of P = M/I\\(D - e), and P has the pair counts of
+    M/I\\D plus pairs at e whose N_e * N_f - N * N_ef is 0, so P fails on
+    the same two elements and (I, D - e) comes earlier."""
     if M.n > 10:
         raise SizeCapExceeded("balance check capped at n = 10")
     minors = 0

@@ -64,7 +64,8 @@ class Matroid:
     The constructor checks the basis exchange axiom unless ``validate`` is
     false; :func:`from_bases` also checks the labels of the given sets.
     Minors are built with ``validate=False``: a minor of a matroid is one.
-    The balance check builds no minor: it counts on mask tuples (:func:`_minor_masks`).
+    The balance check builds no minor: it counts on mask tuples (a contraction
+    by :func:`_minor_masks`, each deletion by a filter and :func:`_squeeze`).
     """
 
     __slots__ = (

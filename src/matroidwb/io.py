@@ -3,6 +3,7 @@ dumps, and verdict JSON."""
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -25,11 +26,15 @@ def _data_lines(text: str):
             yield lineno, line
 
 
+_INT = re.compile(r"-?[0-9]+")
+
+
 def _ints(lineno: int, toks: list[str]) -> list[int]:
-    try:
-        return [int(tok) for tok in toks]
-    except ValueError:
-        raise ParseError(lineno, f"expected integers, got {' '.join(toks)!r}") from None
+    """The tokens as integers, each an optional `-` and ASCII digits: `int`
+    alone would also take `1_2`, `+2` and non-ASCII digits."""
+    if not all(map(_INT.fullmatch, toks)):
+        raise ParseError(lineno, f"expected integers, got {' '.join(toks)!r}")
+    return [int(tok) for tok in toks]
 
 
 def _members(lineno: int, line: str, n: int, what: str, distinct: bool = True) -> list[int]:

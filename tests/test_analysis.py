@@ -1,8 +1,10 @@
 """Tiered verdicts: the order of the tiers, one fixture per deciding tier,
 the reason an Inconclusive gives,
 the pinned sparse-paving census, the balance check against a brute-force
-scan of every minor (its minor stream also on random transversal matroids
-and their duals, each deletion one element off its parent), the
+scan of every minor (its minor stream, over the deletions coindependent in
+each contraction, also on random transversal matroids and their duals,
+reaching every minor of the whole walk, each deletion one element off its
+parent), the
 known-truth sets, the exact replay of every census Holds from the basis
 masks, the float search and the points it
 spends, and the nice principal-extension weights of the paper's example."""
@@ -236,11 +238,18 @@ def reference_minor_walk(M):
 
 def first_seen_minors(M):
     """The stream _minors must give: each distinct minor of the reference
-    walk, with the (I, D) that reaches it first."""
+    walk with D coindependent in M/I, with the (I, D) that reaches it first.
+    D is coindependent when deleting it keeps the rank r(M/I) = r - |I|."""
     first = {}
     for N, I, D in reference_minor_walk(M):
-        first.setdefault((N.n, N.basis_masks), (I, D))
+        if N.r == M.r - len(I):
+            first.setdefault((N.n, N.basis_masks), (I, D))
     return [(*key, I, D) for key, (I, D) in first.items()]
+
+
+def distinct_minors(M):
+    """The set of distinct (n, masks) of the whole reference walk."""
+    return {(N.n, N.basis_masks) for N, _, _ in reference_minor_walk(M)}
 
 
 @st.composite
@@ -349,25 +358,42 @@ class TestBalance:
     @example(transversal(SetSystem(5, (frozenset(), frozenset({1, 2}), frozenset({1, 2}), frozenset({4})))))
     @example(dual(transversal(SetSystem(6, (frozenset({1, 2, 3}), frozenset({3}), frozenset({3}))))))
     def test_minors_of_random_transversal_matroids_are_the_first_seen_minors(self, M):
-        assert list(analysis._minors(M)) == first_seen_minors(M)
+        stream = list(analysis._minors(M))
+        assert stream == first_seen_minors(M)
+        assert {(n, masks) for n, masks, _, _ in stream} == distinct_minors(M)
+
+    @pytest.mark.parametrize("name", BALANCE_SETS)
+    def test_coindependent_deletions_reach_every_minor_of_the_walk(self, name):
+        """Every minor is M/I\\D with D coindependent in M/I, so skipping the
+        other D loses no minor of the whole walk."""
+        for M in BALANCE_SETS[name]():
+            assert {(n, masks) for n, masks, _, _ in analysis._minors(M)} == distinct_minors(M)
 
     def test_each_deletion_removes_one_element_from_its_parent(self, monkeypatch):
-        """Every deletion the walk makes squeezes out one bit; only the
+        """Every deletion the walk makes squeezes out one bit from the
+        parent's bases that avoid it, and there is at least one; only the
         contraction by I, once per independent I, removes more."""
         M = dual(principal_extension(S8, [1, 2]))
         expected = list(analysis._minors(M))
-        removed = Counter()
+        removed, picks = Counter(), Counter()
 
-        def spy(masks, smask, pick):
-            removed[pick.__name__, popcount(smask)] += 1
+        def squeeze(masks, smask):
+            masks = list(masks)
+            assert masks and not any(B & smask for B in masks)
+            removed[popcount(smask)] += 1
+            return core._squeeze(masks, smask)
+
+        def minor_masks(masks, smask, pick):
+            picks[pick.__name__] += 1
             return core._minor_masks(masks, smask, pick)
 
-        monkeypatch.setattr(analysis, "_minor_masks", spy)
+        monkeypatch.setattr(analysis, "_squeeze", squeeze)
+        monkeypatch.setattr(analysis, "_minor_masks", minor_masks)
         assert list(analysis._minors(M)) == expected
-        assert {size for pick, size in removed if pick == "min"} == {1}
+        assert set(removed) == {1}
         independent = sum(M.is_independent(I) for k in range(M.r + 1)
                           for I in combinations(range(1, M.n + 1), k))
-        assert sum(c for (pick, _), c in removed.items() if pick == "max") == independent
+        assert picks == {"max": independent}
 
     def test_a_balanced_holds_builds_no_matroid(self, monkeypatch):
         """On a census class, every distinct minor is checked on its masks:

@@ -1,7 +1,8 @@
 """Text formats: matroid files round-trip, rank 0 included, a token that is
-not an integer, an element outside its range, a basis or set that names an
-element twice, a repeated basis, a header field out of range and a positive
-rank with no basis line are parse errors that name their line, a set
+not an optional `-` and ASCII digits, an element outside its range, a basis
+or set that names an element twice, a repeated basis, a header field out of
+range and a positive rank with no basis line are parse errors that name
+their line, a set
 line `-` is the empty member and `-` beside elements is refused by its line,
 a polynomial is printed one term a line in the order of its factors, and a
 Fails witness is written as its value and its point."""
@@ -103,9 +104,15 @@ def test_a_basis_naming_an_element_twice_names_its_line(parse, text, lineno, mes
         (parse_setsystem, "sys 3 2\n1 2\n2 a\n", 3),
         (parse_matroid, "matroid 2 r\n1\n", 1),
         (parse_matroid, "matroid 2 1\n1\nb\n", 3),
+        (parse_matroid, "matroid 12 1\n1_2\n", 2),
+        (parse_setsystem, "sys 3 1\n+2 3\n", 2),
+        (parse_setsystem, "sys 3 1\n2 \u0663\n", 2),
+        (parse_graph, "graph +2 1\n1 2\n", 1),
     ],
 )
 def test_non_integer_token_names_its_line(parse, text, lineno):
+    """An integer is an optional `-` and ASCII digits: Python's `int` would
+    also read `1_2` as 12, `+2` as 2 and an Arabic-Indic three as 3."""
     with pytest.raises(ParseError, match=f"^line {lineno}: expected integers") as info:
         parse(text)
     assert info.value.lineno == lineno
